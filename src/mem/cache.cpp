@@ -20,21 +20,28 @@ Cache::Cache(CacheConfig cfg) : cfg_(std::move(cfg)) {
                                 "': capacity smaller than one set");
   }
   line_shift_ = static_cast<unsigned>(std::countr_zero(cfg_.line_bytes));
+  pow2_sets_ = std::has_single_bit(num_sets_);
+  if (pow2_sets_) {
+    set_shift_ = static_cast<unsigned>(std::countr_zero(num_sets_));
+  }
   ways_.assign(num_sets_ * cfg_.associativity, Way{});
 }
 
-bool Cache::access(std::uintptr_t addr) {
+bool Cache::access_line(std::uintptr_t line) {
   if (num_sets_ == 0) {  // capacity-less cache: every access misses
     ++misses_;
     return false;
   }
-  const std::uintptr_t line = addr >> line_shift_;
   // XOR-fold the upper line bits into the set index.  Virtual-address
   // simulation is otherwise hostage to where the allocator happened to
   // place a buffer; folding models the physical-page scattering real
   // hierarchies see and removes pathological alias patterns.
-  const std::uintptr_t folded = line ^ (line / num_sets_);
-  const std::size_t set = static_cast<std::size_t>(folded % num_sets_);
+  const std::uintptr_t folded =
+      pow2_sets_ ? line ^ (line >> set_shift_) : line ^ (line / num_sets_);
+  const std::size_t set = static_cast<std::size_t>(
+      pow2_sets_ ? folded & (num_sets_ - 1) : folded % num_sets_);
+  mru_line_ = line;
+  mru_valid_ = true;
   Way* base = &ways_[set * cfg_.associativity];
   ++tick_;
 
@@ -61,6 +68,7 @@ bool Cache::access(std::uintptr_t addr) {
 
 void Cache::flush() {
   for (Way& w : ways_) w.valid = false;
+  mru_valid_ = false;
 }
 
 std::size_t Cache::resident_lines() const {

@@ -42,7 +42,19 @@ class Cache {
 
   /// Touch the line containing @p addr.  @return true on hit.  On a miss the
   /// line is installed, evicting the LRU way of its set.
-  bool access(std::uintptr_t addr);
+  ///
+  /// Fast path: a touch of the same line as the previous access is a hit
+  /// with no way scan and no LRU re-stamp.  That way already holds the
+  /// cache-wide largest stamp, so re-stamping it could not change any LRU
+  /// comparison — the result is exactly the full lookup's.
+  bool access(std::uintptr_t addr) {
+    const std::uintptr_t line = addr >> line_shift_;
+    if (line == mru_line_ && mru_valid_) {
+      ++hits_;
+      return true;
+    }
+    return access_line(line);
+  }
 
   /// Drop all resident lines and reset nothing else (hit/miss counters are
   /// preserved so a flush mid-measurement stays visible in the statistics).
@@ -57,6 +69,9 @@ class Cache {
   std::size_t resident_lines() const;
 
  private:
+  /// Full set lookup of line number @p line (the non-MRU path of access).
+  bool access_line(std::uintptr_t line);
+
   struct Way {
     std::uintptr_t tag = 0;
     std::uint64_t stamp = 0;  // LRU timestamp; larger == more recent
@@ -66,10 +81,18 @@ class Cache {
   CacheConfig cfg_;
   std::size_t num_sets_;
   unsigned line_shift_;
+  /// Power-of-two set counts (every modelled platform) index with
+  /// shift/mask; any other geometry keeps the exact division.
+  bool pow2_sets_ = false;
+  unsigned set_shift_ = 0;
   std::vector<Way> ways_;  // num_sets_ * associativity, set-major
   std::uint64_t tick_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
+  /// Line of the previous access; it is resident and holds the largest
+  /// stamp until the next access or flush().
+  std::uintptr_t mru_line_ = 0;
+  bool mru_valid_ = false;
 };
 
 }  // namespace vecfd::mem

@@ -1,16 +1,33 @@
 #include "mem/memory_hierarchy.h"
 
+#include <algorithm>
+#include <bit>
 #include <stdexcept>
-
-#include "mem/measurement_guard.h"
+#include <utility>
 
 namespace vecfd::mem {
+
+namespace {
+
+/// Initial line-table capacity (slots); the table doubles at half load.
+constexpr std::size_t kInitialSlots = 1024;
+
+/// Fibonacci hashing: the top bits of line * 2^64/phi spread line-aligned
+/// (low-zero) addresses evenly over a power-of-two table.
+std::size_t slot_of(std::uintptr_t line, unsigned shift) {
+  return static_cast<std::size_t>(
+      (static_cast<std::uint64_t>(line) * 0x9E3779B97F4A7C15ULL) >> shift);
+}
+
+}  // namespace
 
 MemoryHierarchy::MemoryHierarchy(HierarchyConfig cfg)
     : cfg_(cfg),
       l1_(cfg.l1),
       l2_(cfg.l2),
-      line_mask_(static_cast<std::uintptr_t>(cfg.l1.line_bytes) - 1) {
+      line_mask_(static_cast<std::uintptr_t>(cfg.l1.line_bytes) - 1),
+      table_(kInitialSlots),
+      hash_shift_(64 - static_cast<unsigned>(std::countr_zero(kInitialSlots))) {
   // Canonicalization renames at L1-line granularity; with a larger L2 line
   // the renaming would scramble which L1 lines share an L2 line based on
   // touch order.  No modelled platform does that — refuse rather than be
@@ -19,37 +36,47 @@ MemoryHierarchy::MemoryHierarchy(HierarchyConfig cfg)
     throw std::invalid_argument(
         "MemoryHierarchy: L1/L2 line sizes must match");
   }
+  // A line must hold a double; this also keeps kNoLine out of the key set.
+  if (cfg_.l1.line_bytes < 8) {
+    throw std::invalid_argument(
+        "MemoryHierarchy: line_bytes must be at least 8");
+  }
 }
 
-std::uintptr_t MemoryHierarchy::canonical(std::uintptr_t addr) {
+std::uintptr_t MemoryHierarchy::map_line(std::uintptr_t line) {
   // Line-granular first-touch renaming: the n-th distinct host line becomes
   // canonical line n; offsets inside the line are preserved.  Distinct host
   // lines stay distinct (locality and working-set size are untouched) while
   // the absolute placement the allocator chose is erased.
-  const std::uintptr_t line = addr & ~line_mask_;
-  const auto [it, inserted] =
-      line_map_.try_emplace(line, next_line_ * (line_mask_ + 1));
-  if (inserted) {
-    guard::on_line_mapped(this, line, next_line_);
-    ++next_line_;
-  } else {
-    // Aborts in guard builds if this line's backing buffer was freed
-    // mid-measurement and a new allocation is re-aliasing it; a no-op
-    // otherwise (measurement_guard.h).
-    guard::on_line_retouched(this, line);
+  const std::size_t mask = table_.size() - 1;
+  for (std::size_t i = slot_of(line, hash_shift_);; i = (i + 1) & mask) {
+    Slot& s = table_[i];
+    if (s.host_line == line) {
+      guard::on_line_retouched(this, line);
+      return s.canonical_base;
+    }
+    if (s.host_line == kNoLine) {
+      guard::on_line_mapped(this, line, next_line_);
+      const std::uintptr_t base = next_line_ * (line_mask_ + 1);
+      s = {line, base};
+      ++next_line_;
+      if (2 * next_line_ > table_.size()) grow();  // invalidates s
+      return base;
+    }
   }
-  return it->second | (addr & line_mask_);
 }
 
-AccessResult MemoryHierarchy::access(std::uintptr_t addr) {
-  const std::uintptr_t canon = canonical(addr);
-  if (l1_.access(canon)) {
-    return {1, cfg_.l1_latency};
+void MemoryHierarchy::grow() {
+  const std::vector<Slot> old =
+      std::exchange(table_, std::vector<Slot>(2 * table_.size()));
+  --hash_shift_;
+  const std::size_t mask = table_.size() - 1;
+  for (const Slot& s : old) {
+    if (s.host_line == kNoLine) continue;
+    std::size_t i = slot_of(s.host_line, hash_shift_);
+    while (table_[i].host_line != kNoLine) i = (i + 1) & mask;
+    table_[i] = s;
   }
-  if (l2_.access(canon)) {
-    return {2, cfg_.l1_latency + cfg_.l2_latency};
-  }
-  return {3, cfg_.l1_latency + cfg_.l2_latency + cfg_.mem_latency};
 }
 
 double MemoryHierarchy::touch_range(std::uintptr_t addr, std::size_t bytes,
@@ -71,8 +98,9 @@ double MemoryHierarchy::touch_range(std::uintptr_t addr, std::size_t bytes,
 void MemoryHierarchy::flush() {
   l1_.flush();
   l2_.flush();
-  line_map_.clear();
+  std::fill(table_.begin(), table_.end(), Slot{});
   next_line_ = 0;
+  memo_line_ = kNoLine;
   guard::on_hierarchy_reset(this);
 }
 

@@ -2,9 +2,10 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "mem/cache.h"
+#include "mem/measurement_guard.h"
 
 namespace vecfd::mem {
 
@@ -47,6 +48,13 @@ struct AccessResult {
 /// the line-aligned global allocator (mem/aligned_new.cpp) this makes
 /// sweeps reproducible run-to-run and lets the parallel sweep engine
 /// promise byte-identical results to the serial path.
+///
+/// The renaming lives in a flat open-addressing table (power-of-two
+/// capacity, linear probing, all-ones empty key) that keeps its capacity
+/// across flush(), fronted by a last-line memo: the per-access host path
+/// allocates nothing once the table has grown to the working set.  The
+/// reference model it replaced is the differential oracle of
+/// tests/test_mem_oracle.cpp.
 class MemoryHierarchy {
  public:
   explicit MemoryHierarchy(HierarchyConfig cfg);
@@ -57,7 +65,16 @@ class MemoryHierarchy {
   MemoryHierarchy& operator=(const MemoryHierarchy&) = default;
 
   /// Touch the line containing @p addr.
-  AccessResult access(std::uintptr_t addr);
+  AccessResult access(std::uintptr_t addr) {
+    const std::uintptr_t canon = canonical(addr);
+    if (l1_.access(canon)) {
+      return {1, cfg_.l1_latency};
+    }
+    if (l2_.access(canon)) {
+      return {2, cfg_.l1_latency + cfg_.l2_latency};
+    }
+    return {3, cfg_.l1_latency + cfg_.l2_latency + cfg_.mem_latency};
+  }
 
   /// Touch every line overlapping [addr, addr + bytes).  Returns the summed
   /// penalty and the count of L1 misses in @p l1_misses_out (optional).
@@ -77,15 +94,46 @@ class MemoryHierarchy {
   std::uint64_t l2_misses() const { return l2_.misses(); }
 
  private:
+  /// Empty-slot key and cleared memo.  Never a line-aligned host address:
+  /// lines are at least 8 bytes, so aligned addresses end in zero bits.
+  /// (Address 0 is a valid host line, so it cannot be the sentinel.)
+  static constexpr std::uintptr_t kNoLine = ~std::uintptr_t{0};
+
+  struct Slot {
+    std::uintptr_t host_line = kNoLine;
+    std::uintptr_t canonical_base = 0;
+  };
+
   /// Map @p addr into the dense first-touch canonical space.
-  std::uintptr_t canonical(std::uintptr_t addr);
+  std::uintptr_t canonical(std::uintptr_t addr) {
+    const std::uintptr_t line = addr & ~line_mask_;
+    if (line != memo_line_) {
+      memo_base_ = map_line(line);
+      memo_line_ = line;
+    } else {
+      // Aborts in guard builds if this line's backing buffer was freed
+      // mid-measurement and a new allocation is re-aliasing it; a no-op
+      // otherwise (measurement_guard.h).
+      guard::on_line_retouched(this, line);
+    }
+    return memo_base_ | (addr & line_mask_);
+  }
+
+  /// Canonical base address of host line @p line, renaming it on first
+  /// touch.
+  std::uintptr_t map_line(std::uintptr_t line);
+  /// Double the table capacity and re-insert every mapped line.
+  void grow();
 
   HierarchyConfig cfg_;
   Cache l1_;
   Cache l2_;
   std::uintptr_t line_mask_;
-  std::unordered_map<std::uintptr_t, std::uintptr_t> line_map_;
+  std::vector<Slot> table_;  // power-of-two size, linear probing
+  unsigned hash_shift_;      // 64 - log2(table_.size())
   std::uintptr_t next_line_ = 0;
+  std::uintptr_t memo_line_ = kNoLine;  // host line of the previous access
+  std::uintptr_t memo_base_ = 0;        // ... and its canonical base
 };
 
 }  // namespace vecfd::mem

@@ -96,6 +96,23 @@ std::size_t get_len(Reader& r, const char* what) {
   return static_cast<std::size_t>(n);
 }
 
+/// Count prefix of an array whose elements serialize to at least
+/// @p min_elem_bytes each.  A count the rest of the payload cannot hold is
+/// rejected by name BEFORE the array is allocated: the 2^40 cap alone
+/// would let a crafted (CRC-consistent) count reach operator new and fail
+/// as std::bad_alloc instead.
+std::size_t get_count(Reader& r, const char* what,
+                      std::size_t min_elem_bytes) {
+  const std::size_t n = get_len(r, what);
+  if (n > (r.buf->size() - r.pos) / min_elem_bytes) {
+    throw std::runtime_error(std::string("checkpoint: ") + what + " count " +
+                             std::to_string(n) +
+                             " exceeds the remaining payload (corrupt "
+                             "payload?)");
+  }
+  return n;
+}
+
 void put_vec_f64(Writer& w, const std::vector<double>& v) {
   put_u64(w, v.size());
   for (double x : v) put_f64(w, x);
@@ -162,8 +179,13 @@ void put_counters_vec(Writer& w, const std::vector<sim::Counters>& cs) {
   for (const sim::Counters& c : cs) put_counters(w, c);
 }
 
+/// Serialized size of one Counters record: count prefix + one 8-byte
+/// value per registered counter.
+constexpr std::size_t kCountersBytes =
+    4 + 8 * static_cast<std::size_t>(sim::kNumCounters);
+
 std::vector<sim::Counters> get_counters_vec(Reader& r) {
-  const std::size_t n = get_len(r, "counter array");
+  const std::size_t n = get_count(r, "counter array", kCountersBytes);
   std::vector<sim::Counters> cs(n);
   for (std::size_t i = 0; i < n; ++i) cs[i] = get_counters(r);
   return cs;
@@ -202,8 +224,17 @@ void put_step_reports(Writer& w, const std::vector<StepReport>& steps) {
   }
 }
 
+/// Smallest serialized SolveReport (empty history and failure string):
+/// converged u8, iterations i64, residual f64, two u64 length prefixes.
+constexpr std::size_t kMinSolveReportBytes = 1 + 8 + 8 + 8 + 8;
+/// Smallest serialized StepReport: time, kDim momentum reports, the
+/// pressure report, div_before, div_after, cycles.
+constexpr std::size_t kMinStepReportBytes =
+    8 + (fem::kDim + 1) * kMinSolveReportBytes + 3 * 8;
+
 std::vector<StepReport> get_step_reports(Reader& r) {
-  const std::size_t n = get_len(r, "step report array");
+  const std::size_t n =
+      get_count(r, "step report array", kMinStepReportBytes);
   std::vector<StepReport> steps(n);
   for (StepReport& s : steps) {
     s.time = get_f64(r);

@@ -15,6 +15,11 @@ Vpu::Vpu(MachineConfig cfg, int num_phases)
   if (cfg_.vlmax <= 0 || cfg_.lanes <= 0) {
     throw std::invalid_argument("Vpu: vlmax and lanes must be positive");
   }
+  if (cfg_.vlmax > kMaxVl) {
+    throw std::invalid_argument("Vpu: vlmax " + std::to_string(cfg_.vlmax) +
+                                " exceeds the register bound kMaxVl = " +
+                                std::to_string(kMaxVl));
+  }
   vl_ = cfg_.vlmax;
 }
 
@@ -42,22 +47,24 @@ double Vpu::touch_range(const void* p, std::size_t bytes) {
   const std::uintptr_t first = addr & mask;
   const std::uintptr_t last = (addr + bytes - 1) & mask;
   double penalty = 0.0;
-  Counters& ph = profiler_.phase(profiler_.current());
+  std::uint64_t accesses = 0;
+  std::uint64_t l1_misses = 0;
+  std::uint64_t l2_misses = 0;
   for (std::uintptr_t a = first;; a += line) {
     const mem::AccessResult r = mem_.access(a);
     penalty += r.penalty;
-    ++total_.l1_accesses;
-    ++ph.l1_accesses;
-    if (r.level > 1) {
-      ++total_.l1_misses;
-      ++ph.l1_misses;
-    }
-    if (r.level > 2) {
-      ++total_.l2_misses;
-      ++ph.l2_misses;
-    }
+    ++accesses;
+    l1_misses += r.level > 1 ? 1 : 0;
+    l2_misses += r.level > 2 ? 1 : 0;
     if (a == last) break;
   }
+  Counters& ph = profiler_.phase(profiler_.current());
+  total_.l1_accesses += accesses;
+  ph.l1_accesses += accesses;
+  total_.l1_misses += l1_misses;
+  ph.l1_misses += l1_misses;
+  total_.l2_misses += l2_misses;
+  ph.l2_misses += l2_misses;
   return penalty;
 }
 

@@ -37,6 +37,8 @@ class InstrObserver {
 
 class Vpu {
  public:
+  /// @throws std::invalid_argument when vlmax or lanes is not positive, or
+  ///         vlmax exceeds the register bound kMaxVl (sim/vec.h).
   explicit Vpu(MachineConfig cfg, int num_phases = kDefaultNumPhases);
 
   // ---- configuration & state ------------------------------------------
@@ -156,8 +158,6 @@ class Vpu {
   double scbrt(double a);
 
  private:
-  Vec make_result(std::size_t n) const { return Vec(n); }
-
   void record(InstrKind kind, double cycles, int vl_used);
 
   /// Touch whole lines of [addr, addr+bytes); returns cycle penalty and

@@ -17,9 +17,12 @@
 //   * the checkpoint cadence changes only counters, never fields.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fem/mesh.h"
@@ -228,6 +231,70 @@ TEST(CheckpointFile, LoadRejectsForeignMagicVersionAndCorruption) {
   std::vector<char> corrupt = good;
   corrupt.back() = static_cast<char>(corrupt.back() ^ 0x40);
   expect_error_containing(corrupt, "CRC");
+}
+
+/// Write @p payload as a well-formed checkpoint file: magic, version,
+/// payload size and a CRC recomputed over the (possibly crafted) payload.
+void write_framed(const std::string& path,
+                  const std::vector<std::uint8_t>& payload) {
+  std::vector<char> bytes = {'V', 'F', 'C', 'K', 'P', 'T', '\0',
+                             static_cast<char>(miniapp::kCheckpointVersion)};
+  auto put_le = [&](std::uint64_t v, int n) {
+    for (int i = 0; i < n; ++i) {
+      bytes.push_back(static_cast<char>(v >> (8 * i)));
+    }
+  };
+  put_le(payload.size(), 8);
+  put_le(miniapp::crc32(payload.data(), payload.size()), 4);
+  bytes.insert(bytes.end(), payload.begin(), payload.end());
+  write_bytes(path, bytes);
+}
+
+/// Overwrite the little-endian u64 at @p off of @p buf.
+void patch_u64(std::vector<std::uint8_t>& buf, std::size_t off,
+               std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    buf[off + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+// A crafted file whose CRC matches but whose array count (2^32) the
+// payload cannot possibly hold must be rejected by name — never reach
+// operator new and surface as std::bad_alloc.
+TEST(CheckpointFile, LoadRejectsImplausibleArrayCountsBeforeAllocating) {
+  TimeLoopCheckpoint c;  // empty fields, reports and phase counters
+  const std::vector<std::uint8_t> good = miniapp::serialize_state(c);
+  // Payload layout: config_hash, next_step, time, two empty field
+  // vectors (u64 length 0 each), then the step-report count at byte 40;
+  // it ends with the phase-counter count, all_converged (u8) and the
+  // makespan (f64), so that count sits 17 bytes from the end.
+  const std::size_t step_count_at = 5 * 8;
+  const std::size_t phase_count_at = good.size() - 17;
+  const std::uint64_t kCrafted = std::uint64_t{1} << 32;
+  const std::string path = scratch_path("crafted_count.ckpt");
+  for (const auto& [off, needle] :
+       {std::pair{step_count_at, "step report array"},
+        std::pair{phase_count_at, "counter array"}}) {
+    std::vector<std::uint8_t> crafted = good;
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_EQ(crafted[off + static_cast<std::size_t>(i)], 0u) << needle;
+    }
+    patch_u64(crafted, off, kCrafted);
+    write_framed(path, crafted);
+    try {
+      miniapp::load_checkpoint(path);
+      FAIL() << "expected a named rejection of the " << needle << " count";
+    } catch (const std::bad_alloc&) {
+      FAIL() << needle << ": allocated before bounds-checking the count";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << "actual: " << e.what();
+    }
+  }
+  // The unpatched payload, framed the same way, still loads.
+  write_framed(path, good);
+  expect_checkpoint_equal(miniapp::load_checkpoint(path), c);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@
 // lint job); elsewhere the suite records a skip so tier-1 stays green.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -23,6 +24,9 @@ using vecfd::sim::Vpu;
 /// (mem/aligned_new.cpp) forwards to aligned_alloc, and glibc serves the
 /// freed chunk back for the next same-size request — usually on the first
 /// try.  Extra allocations are parked in @p held so retries make progress.
+/// Small blocks only come back when the freed chunk leaves the per-thread
+/// cache for a coalescing bin, which depends on how many other same-size
+/// frees preceded it; kMappedElems below takes the heap history out.
 double* reacquire_block(std::uintptr_t target, std::size_t elems,
                         std::vector<double*>& held) {
   for (int attempt = 0; attempt < 256; ++attempt) {
@@ -33,17 +37,25 @@ double* reacquire_block(std::uintptr_t target, std::size_t elems,
   return nullptr;
 }
 
+/// 64 MiB of doubles: above glibc's largest dynamic mmap threshold
+/// (32 MiB), so the block is always a mapping of its own.  Freeing it
+/// unmaps it and the kernel hands the same hole to the next mapping of the
+/// same length, whatever the heap did in between.  Only the first line is
+/// ever written, so the block costs address space, not memory.
+constexpr std::size_t kMappedElems = std::size_t{8} << 20;
+
 TEST(MeasurementGuardDeathTest, ReAliasedCanonicalLineAbortsNamingIt) {
   EXPECT_DEATH(
       {
         Vpu vpu(vecfd::platforms::riscv_vec());
-        double* a = new double[16]();
+        double* a = new double[kMappedElems];
+        std::fill_n(a, 8, 0.0);
         const auto target = reinterpret_cast<std::uintptr_t>(a);
         vpu.set_vl(8);
         (void)vpu.vload(a);  // first touch: a's line becomes canonical line 0
         delete[] a;          // mid-measurement free → tombstone
         std::vector<double*> held;
-        double* b = reacquire_block(target, 16, held);
+        double* b = reacquire_block(target, kMappedElems, held);
         ASSERT_NE(b, nullptr) << "allocator never reused the freed block";
         (void)vpu.vload(b);  // re-alias of canonical line 0 → abort
       },

@@ -164,6 +164,16 @@ TEST(MemoryHierarchy, MismatchedLineSizesAreRejected) {
   EXPECT_THROW(MemoryHierarchy{h}, std::invalid_argument);
 }
 
+// A line must hold a double; this also keeps the line table's all-ones
+// empty key out of the set of line-aligned host addresses.
+TEST(MemoryHierarchy, LinesSmallerThanADoubleAreRejected) {
+  HierarchyConfig h = small_hier();
+  h.l1.line_bytes = h.l2.line_bytes = 4;
+  EXPECT_THROW(MemoryHierarchy{h}, std::invalid_argument);
+  h.l1.line_bytes = h.l2.line_bytes = 8;
+  EXPECT_NO_THROW(MemoryHierarchy{h});
+}
+
 TEST(MemoryHierarchy, TouchRangeCountsLines) {
   MemoryHierarchy mh(small_hier());
   std::uint64_t misses = 0;

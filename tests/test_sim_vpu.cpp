@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "platforms/platforms.h"
@@ -254,6 +256,48 @@ TEST(Vpu, InvalidConfigRejected) {
   bad = riscv_vec();
   bad.lanes = -1;
   EXPECT_THROW(Vpu{bad}, std::invalid_argument);
+}
+
+// Register values live inline in sim::Vec, kMaxVl lanes at most: a machine
+// with a longer register is refused up front, by name, rather than
+// overrunning a register buffer mid-kernel.
+TEST(Vpu, VlmaxAboveRegisterBoundRejected) {
+  vecfd::sim::MachineConfig ok = riscv_vec();
+  ok.vlmax = vecfd::sim::kMaxVl;
+  EXPECT_NO_THROW(Vpu{ok});
+
+  vecfd::sim::MachineConfig bad = riscv_vec();
+  bad.vlmax = vecfd::sim::kMaxVl + 1;
+  try {
+    Vpu v{bad};
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find(std::to_string(vecfd::sim::kMaxVl + 1)),
+              std::string::npos) << msg;
+    EXPECT_NE(msg.find("kMaxVl = " + std::to_string(vecfd::sim::kMaxVl)),
+              std::string::npos) << msg;
+  }
+}
+
+TEST(Vec, LengthAboveRegisterBoundThrows) {
+  EXPECT_NO_THROW((void)vecfd::sim::Vec(vecfd::sim::kMaxVl));
+  EXPECT_THROW((void)vecfd::sim::Vec(vecfd::sim::kMaxVl + 1),
+               std::length_error);
+}
+
+TEST(Vec, CopiesCarryOnlyLiveLanes) {
+  vecfd::sim::Vec a(3, 1.5);
+  a[2] = -2.0;
+  vecfd::sim::Vec b(vecfd::sim::kMaxVl, 9.0);
+  b = a;
+  ASSERT_EQ(b.size(), 3);
+  EXPECT_EQ(b[0], 1.5);
+  EXPECT_EQ(b[2], -2.0);
+  const vecfd::sim::Vec c = b;
+  EXPECT_EQ(c.size(), 3);
+  EXPECT_EQ(c[2], -2.0);
+  EXPECT_TRUE(vecfd::sim::Vec().empty());
 }
 
 }  // namespace
