@@ -16,7 +16,7 @@ namespace vecfd::mem {
 /// Geometry and identity of one cache level.
 struct CacheConfig {
   std::size_t size_bytes = 32 * 1024;  ///< total capacity
-  std::size_t line_bytes = 64;         ///< cache-line size (power of two)
+  std::size_t line_bytes = 64;         ///< line size (power of two, >= 8)
   unsigned associativity = 8;          ///< ways per set
   std::string name = "L1";             ///< used in reports and errors
 
@@ -36,8 +36,9 @@ struct CacheConfig {
 /// model a cache-less path.
 class Cache {
  public:
-  /// @throws std::invalid_argument for non-power-of-two line sizes or
-  ///         zero associativity with non-zero capacity.
+  /// @throws std::invalid_argument for non-power-of-two line sizes, lines
+  ///         smaller than a double (8 bytes), or zero associativity with
+  ///         non-zero capacity.
   explicit Cache(CacheConfig cfg);
 
   /// Touch the line containing @p addr.  @return true on hit.  On a miss the
@@ -72,11 +73,9 @@ class Cache {
   /// Full set lookup of line number @p line (the non-MRU path of access).
   bool access_line(std::uintptr_t line);
 
-  struct Way {
-    std::uintptr_t tag = 0;
-    std::uint64_t stamp = 0;  // LRU timestamp; larger == more recent
-    bool valid = false;
-  };
+  /// Tag of an empty way.  Never a line number: lines are at least 8
+  /// bytes, so a line number has its top three bits clear.
+  static constexpr std::uintptr_t kNoTag = ~std::uintptr_t{0};
 
   CacheConfig cfg_;
   std::size_t num_sets_;
@@ -85,7 +84,12 @@ class Cache {
   /// shift/mask; any other geometry keeps the exact division.
   bool pow2_sets_ = false;
   unsigned set_shift_ = 0;
-  std::vector<Way> ways_;  // num_sets_ * associativity, set-major
+  unsigned ways_ = 0;  // associativity
+  /// num_sets_ * ways_ entries each, set-major.  A resident way holds its
+  /// line number and an LRU stamp (larger == more recent, always >= 1); an
+  /// empty way holds kNoTag and stamp 0.
+  std::vector<std::uintptr_t> tags_;
+  std::vector<std::uint64_t> stamps_;
   std::uint64_t tick_ = 0;
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;

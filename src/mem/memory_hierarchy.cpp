@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -9,14 +10,14 @@ namespace vecfd::mem {
 
 namespace {
 
-/// Initial line-table capacity (slots); the table doubles at half load.
-constexpr std::size_t kInitialSlots = 1024;
+/// Initial line-map capacity (page slots); the table doubles at half load.
+constexpr std::size_t kInitialSlots = 64;
 
-/// Fibonacci hashing: the top bits of line * 2^64/phi spread line-aligned
-/// (low-zero) addresses evenly over a power-of-two table.
-std::size_t slot_of(std::uintptr_t line, unsigned shift) {
+/// Fibonacci hashing: the top bits of page * 2^64/phi spread consecutive
+/// page numbers evenly over a power-of-two table.
+std::size_t slot_of(std::uintptr_t page, unsigned shift) {
   return static_cast<std::size_t>(
-      (static_cast<std::uint64_t>(line) * 0x9E3779B97F4A7C15ULL) >> shift);
+      (static_cast<std::uint64_t>(page) * 0x9E3779B97F4A7C15ULL) >> shift);
 }
 
 }  // namespace
@@ -26,6 +27,9 @@ MemoryHierarchy::MemoryHierarchy(HierarchyConfig cfg)
       l1_(cfg.l1),
       l2_(cfg.l2),
       line_mask_(static_cast<std::uintptr_t>(cfg.l1.line_bytes) - 1),
+      line_shift_(static_cast<unsigned>(std::countr_zero(cfg.l1.line_bytes))),
+      page_shift_(line_shift_ +
+                  static_cast<unsigned>(std::countr_zero(kPageLines))),
       table_(kInitialSlots),
       hash_shift_(64 - static_cast<unsigned>(std::countr_zero(kInitialSlots))) {
   // Canonicalization renames at L1-line granularity; with a larger L2 line
@@ -36,34 +40,41 @@ MemoryHierarchy::MemoryHierarchy(HierarchyConfig cfg)
     throw std::invalid_argument(
         "MemoryHierarchy: L1/L2 line sizes must match");
   }
-  // A line must hold a double; this also keeps kNoLine out of the key set.
+  // A line must hold a double; this also keeps kNoPage out of the key set.
   if (cfg_.l1.line_bytes < 8) {
     throw std::invalid_argument(
         "MemoryHierarchy: line_bytes must be at least 8");
   }
 }
 
-std::uintptr_t MemoryHierarchy::map_line(std::uintptr_t line) {
+std::size_t MemoryHierarchy::page_block(std::uintptr_t page) {
+  const std::size_t mask = table_.size() - 1;
+  for (std::size_t i = slot_of(page, hash_shift_);; i = (i + 1) & mask) {
+    Slot& s = table_[i];
+    if (s.page == page) return s.block;
+    if (s.page == kNoPage) {
+      const std::size_t block = pages_ * kPageLines;
+      if (ids_.size() < block + kPageLines) ids_.resize(block + kPageLines);
+      s = {page, block};
+      ++pages_;
+      if (2 * pages_ > table_.size()) grow();  // invalidates s
+      return block;
+    }
+  }
+}
+
+std::uint32_t MemoryHierarchy::map_line(std::uintptr_t line) {
   // Line-granular first-touch renaming: the n-th distinct host line becomes
   // canonical line n; offsets inside the line are preserved.  Distinct host
   // lines stay distinct (locality and working-set size are untouched) while
   // the absolute placement the allocator chose is erased.
-  const std::size_t mask = table_.size() - 1;
-  for (std::size_t i = slot_of(line, hash_shift_);; i = (i + 1) & mask) {
-    Slot& s = table_[i];
-    if (s.host_line == line) {
-      guard::on_line_retouched(this, line);
-      return s.canonical_base;
-    }
-    if (s.host_line == kNoLine) {
-      guard::on_line_mapped(this, line, next_line_);
-      const std::uintptr_t base = next_line_ * (line_mask_ + 1);
-      s = {line, base};
-      ++next_line_;
-      if (2 * next_line_ > table_.size()) grow();  // invalidates s
-      return base;
-    }
+  if (next_line_ >= std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error(
+        "MemoryHierarchy: more than 4294967295 distinct lines touched since "
+        "the last flush (canonical line ids are 32-bit)");
   }
+  guard::on_line_mapped(this, line, next_line_);
+  return static_cast<std::uint32_t>(++next_line_);
 }
 
 void MemoryHierarchy::grow() {
@@ -72,9 +83,9 @@ void MemoryHierarchy::grow() {
   --hash_shift_;
   const std::size_t mask = table_.size() - 1;
   for (const Slot& s : old) {
-    if (s.host_line == kNoLine) continue;
-    std::size_t i = slot_of(s.host_line, hash_shift_);
-    while (table_[i].host_line != kNoLine) i = (i + 1) & mask;
+    if (s.page == kNoPage) continue;
+    std::size_t i = slot_of(s.page, hash_shift_);
+    while (table_[i].page != kNoPage) i = (i + 1) & mask;
     table_[i] = s;
   }
 }
@@ -99,8 +110,10 @@ void MemoryHierarchy::flush() {
   l1_.flush();
   l2_.flush();
   std::fill(table_.begin(), table_.end(), Slot{});
+  std::fill_n(ids_.begin(), pages_ * kPageLines, 0);
+  pages_ = 0;
   next_line_ = 0;
-  memo_line_ = kNoLine;
+  memo_page_ = kNoPage;
   guard::on_hierarchy_reset(this);
 }
 

@@ -1,6 +1,7 @@
 // vecfd::mem — two-level cache hierarchy with latency attribution.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -49,14 +50,19 @@ struct AccessResult {
 /// sweeps reproducible run-to-run and lets the parallel sweep engine
 /// promise byte-identical results to the serial path.
 ///
-/// The renaming lives in a flat open-addressing table (power-of-two
-/// capacity, linear probing, all-ones empty key) that keeps its capacity
-/// across flush(), fronted by a last-line memo: the per-access host path
-/// allocates nothing once the table has grown to the working set.  The
-/// reference model it replaced is the differential oracle of
+/// The renaming is grouped by host page (kPageLines consecutive lines): an
+/// open-addressing table (power-of-two capacity, linear probing, all-ones
+/// empty key) maps a page to a dense block of 32-bit per-line canonical
+/// ids, fronted by a last-page memo.  Consecutive lines of a stream share
+/// one memo hit and one host cache line of ids, and the per-access host
+/// path allocates nothing once the table has grown to the working set.
+/// The reference model it replaced is the differential oracle of
 /// tests/test_mem_oracle.cpp.
 class MemoryHierarchy {
  public:
+  /// Lines per page of the line map (a power of two).
+  static constexpr std::size_t kPageLines = 64;
+
   explicit MemoryHierarchy(HierarchyConfig cfg);
   /// Closes the measurement region in VECFD_MEASUREMENT_GUARD builds
   /// (measurement_guard.h); trivial otherwise.
@@ -94,46 +100,63 @@ class MemoryHierarchy {
   std::uint64_t l2_misses() const { return l2_.misses(); }
 
  private:
-  /// Empty-slot key and cleared memo.  Never a line-aligned host address:
-  /// lines are at least 8 bytes, so aligned addresses end in zero bits.
-  /// (Address 0 is a valid host line, so it cannot be the sentinel.)
-  static constexpr std::uintptr_t kNoLine = ~std::uintptr_t{0};
+  /// Empty-slot key and cleared memo.  Never a page number: lines are at
+  /// least 8 bytes, so a page number has its top nine bits clear.  (Page 0
+  /// holds host address 0, a valid line, so it cannot be the sentinel.)
+  static constexpr std::uintptr_t kNoPage = ~std::uintptr_t{0};
 
   struct Slot {
-    std::uintptr_t host_line = kNoLine;
-    std::uintptr_t canonical_base = 0;
+    std::uintptr_t page = kNoPage;
+    std::size_t block = 0;  // offset of the page's id block in ids_
   };
 
   /// Map @p addr into the dense first-touch canonical space.
   std::uintptr_t canonical(std::uintptr_t addr) {
+    const std::uintptr_t page = addr >> page_shift_;
+    if (page != memo_page_) {
+      memo_block_ = page_block(page);
+      memo_page_ = page;
+    }
     const std::uintptr_t line = addr & ~line_mask_;
-    if (line != memo_line_) {
-      memo_base_ = map_line(line);
-      memo_line_ = line;
+    std::uint32_t& id =
+        ids_[memo_block_ + ((addr >> line_shift_) & (kPageLines - 1))];
+    if (id == 0) {
+      id = map_line(line);
     } else {
       // Aborts in guard builds if this line's backing buffer was freed
       // mid-measurement and a new allocation is re-aliasing it; a no-op
       // otherwise (measurement_guard.h).
       guard::on_line_retouched(this, line);
     }
-    return memo_base_ | (addr & line_mask_);
+    return (static_cast<std::uintptr_t>(id - 1) << line_shift_) |
+           (addr & line_mask_);
   }
 
-  /// Canonical base address of host line @p line, renaming it on first
-  /// touch.
-  std::uintptr_t map_line(std::uintptr_t line);
-  /// Double the table capacity and re-insert every mapped line.
+  /// Offset in ids_ of host page @p page's id block, allocating a zeroed
+  /// block on the page's first touch.
+  std::size_t page_block(std::uintptr_t page);
+  /// Canonical id (1-based) for host line @p line on its first touch.
+  /// @throws std::length_error past UINT32_MAX distinct lines.
+  std::uint32_t map_line(std::uintptr_t line);
+  /// Double the table capacity and re-insert every mapped page.
   void grow();
 
   HierarchyConfig cfg_;
   Cache l1_;
   Cache l2_;
   std::uintptr_t line_mask_;
+  unsigned line_shift_;
+  unsigned page_shift_;      // line_shift_ + log2(kPageLines)
   std::vector<Slot> table_;  // power-of-two size, linear probing
   unsigned hash_shift_;      // 64 - log2(table_.size())
-  std::uintptr_t next_line_ = 0;
-  std::uintptr_t memo_line_ = kNoLine;  // host line of the previous access
-  std::uintptr_t memo_base_ = 0;        // ... and its canonical base
+  std::size_t pages_ = 0;    // mapped pages == id blocks in use
+  /// kPageLines ids per block, block n at offset n * kPageLines; id 0 is
+  /// an unmapped line, id n + 1 canonical line n.  Blocks past pages_ are
+  /// all zero.
+  std::vector<std::uint32_t> ids_;
+  std::uint64_t next_line_ = 0;
+  std::uintptr_t memo_page_ = kNoPage;  // host page of the previous access
+  std::size_t memo_block_ = 0;          // ... and its id block
 };
 
 }  // namespace vecfd::mem

@@ -1,6 +1,6 @@
 #include "sim/vpu.h"
 
-#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -39,6 +39,17 @@ void Vpu::record(InstrKind kind, double cycles, int vl_used) {
   }
 }
 
+double Vpu::commit(const MemTally& t) {
+  Counters& ph = profiler_.phase(profiler_.current());
+  total_.l1_accesses += t.accesses;
+  ph.l1_accesses += t.accesses;
+  total_.l1_misses += t.l1_misses;
+  ph.l1_misses += t.l1_misses;
+  total_.l2_misses += t.l2_misses;
+  ph.l2_misses += t.l2_misses;
+  return t.penalty;
+}
+
 double Vpu::touch_range(const void* p, std::size_t bytes) {
   const auto addr = reinterpret_cast<std::uintptr_t>(p);
   if (bytes == 0) return 0.0;
@@ -46,29 +57,36 @@ double Vpu::touch_range(const void* p, std::size_t bytes) {
   const std::uintptr_t mask = ~(static_cast<std::uintptr_t>(line) - 1);
   const std::uintptr_t first = addr & mask;
   const std::uintptr_t last = (addr + bytes - 1) & mask;
-  double penalty = 0.0;
-  std::uint64_t accesses = 0;
-  std::uint64_t l1_misses = 0;
-  std::uint64_t l2_misses = 0;
+  MemTally t;
   for (std::uintptr_t a = first;; a += line) {
-    const mem::AccessResult r = mem_.access(a);
-    penalty += r.penalty;
-    ++accesses;
-    l1_misses += r.level > 1 ? 1 : 0;
-    l2_misses += r.level > 2 ? 1 : 0;
+    t.touch(mem_, a);
     if (a == last) break;
   }
-  Counters& ph = profiler_.phase(profiler_.current());
-  total_.l1_accesses += accesses;
-  ph.l1_accesses += accesses;
-  total_.l1_misses += l1_misses;
-  ph.l1_misses += l1_misses;
-  total_.l2_misses += l2_misses;
-  ph.l2_misses += l2_misses;
-  return penalty;
+  return commit(t);
 }
 
-double Vpu::touch_elem(const void* p) { return touch_range(p, 8); }
+double Vpu::touch_scalar(const void* p) {
+  MemTally t;
+  t.touch(mem_, p);
+  return commit(t);
+}
+
+bool Vpu::LineSet::insert(std::uintptr_t line) {
+  static_assert(std::has_single_bit(kSlots));
+  constexpr unsigned kShift =
+      64 - static_cast<unsigned>(std::countr_zero(kSlots));
+  // Fibonacci hashing spreads line-aligned (low-zero) addresses.
+  std::size_t i = static_cast<std::size_t>(
+      (static_cast<std::uint64_t>(line) * 0x9E3779B97F4A7C15ULL) >> kShift);
+  for (;; i = (i + 1) & (kSlots - 1)) {
+    Slot& s = slots_[i];
+    if (s.gen != gen_) {
+      s = {line, gen_};
+      return true;
+    }
+    if (s.line == line) return false;
+  }
+}
 
 void Vpu::require_vector(const char* what) const {
   if (!cfg_.vector_enabled) {
@@ -129,14 +147,14 @@ Vec Vpu::vload_i32(const std::int32_t* p) {
 Vec Vpu::vload_strided(const double* p, std::ptrdiff_t stride_elems) {
   require_vector("vload_strided");
   Vec r(vl_);
-  double penalty = 0.0;
+  MemTally t;
   for (int i = 0; i < vl_; ++i) {
     const double* q = p + stride_elems * i;
     r[i] = *q;
-    penalty += touch_elem(q);
+    t.touch(mem_, q);
   }
   double cycles = timing_.vmem_strided_cycles(vl_);
-  cycles += cfg_.miss_overlap_strided * penalty;
+  cycles += cfg_.miss_overlap_strided * commit(t);
   record(InstrKind::kVMemStrided, cycles, vl_);
   return r;
 }
@@ -146,10 +164,11 @@ Vec Vpu::vgather(const double* base, const Vec& idx) {
   require_operands(idx, "vgather");
   const int n = idx.size();
   Vec r(n);
-  double penalty = 0.0;
-  const std::size_t line = cfg_.memory.l1.line_bytes;
-  const std::uintptr_t mask = ~(static_cast<std::uintptr_t>(line) - 1);
-  gather_lines_scratch_.clear();
+  const std::uintptr_t mask =
+      ~(static_cast<std::uintptr_t>(cfg_.memory.l1.line_bytes) - 1);
+  MemTally t;
+  gather_lines_.clear();
+  std::uint64_t lines = 0;
   std::uint64_t pads = 0;
   for (int i = 0; i < n; ++i) {
     const std::ptrdiff_t k = static_cast<std::ptrdiff_t>(idx[i]);
@@ -160,16 +179,13 @@ Vec Vpu::vgather(const double* base, const Vec& idx) {
     }
     const double* q = base + k;
     r[i] = *q;
-    penalty += touch_elem(q);
-    gather_lines_scratch_.push_back(reinterpret_cast<std::uintptr_t>(q) &
-                                    mask);
+    t.touch(mem_, q);
+    lines += gather_lines_.insert(reinterpret_cast<std::uintptr_t>(q) & mask)
+                 ? 1
+                 : 0;
   }
-  std::sort(gather_lines_scratch_.begin(), gather_lines_scratch_.end());
-  const std::uint64_t lines = static_cast<std::uint64_t>(
-      std::unique(gather_lines_scratch_.begin(), gather_lines_scratch_.end()) -
-      gather_lines_scratch_.begin());
-  const std::uint64_t lanes =
-      static_cast<std::uint64_t>(n) - pads;
+  const double penalty = commit(t);
+  const std::uint64_t lanes = static_cast<std::uint64_t>(n) - pads;
   Counters& ph = profiler_.phase(profiler_.current());
   total_.gather_lanes += lanes;
   ph.gather_lanes += lanes;
@@ -198,14 +214,14 @@ void Vpu::vstore_strided(double* p, std::ptrdiff_t stride_elems,
   require_vector("vstore_strided");
   require_operands(v, "vstore_strided");
   const int n = v.size();
-  double penalty = 0.0;
+  MemTally t;
   for (int i = 0; i < n; ++i) {
     double* q = p + stride_elems * i;
     *q = v[i];
-    penalty += touch_elem(q);
+    t.touch(mem_, q);
   }
   double cycles = timing_.vmem_strided_cycles(n);
-  cycles += cfg_.miss_overlap_strided * penalty;
+  cycles += cfg_.miss_overlap_strided * commit(t);
   record(InstrKind::kVMemStrided, cycles, n);
 }
 
@@ -216,14 +232,14 @@ void Vpu::vscatter(double* base, const Vec& idx, const Vec& v) {
     throw std::invalid_argument("Vpu::vscatter: index/value length mismatch");
   }
   const int n = v.size();
-  double penalty = 0.0;
+  MemTally t;
   for (int i = 0; i < n; ++i) {
     double* q = base + static_cast<std::ptrdiff_t>(idx[i]);
     *q = v[i];
-    penalty += touch_elem(q);
+    t.touch(mem_, q);
   }
   double cycles = timing_.vmem_indexed_cycles(n);
-  cycles += cfg_.miss_overlap_indexed * penalty;
+  cycles += cfg_.miss_overlap_indexed * commit(t);
   record(InstrKind::kVMemIndexed, cycles, n);
 }
 
@@ -486,26 +502,26 @@ Vec Vpu::vge_s(const Vec& a, double s) {
 // ---------------------------------------------------------------- scalar core
 
 double Vpu::sload(const double* p) {
-  const double penalty = touch_elem(p);
+  const double penalty = touch_scalar(p);
   record(InstrKind::kScalarMem, timing_.scalar_mem_cycles() + penalty, 0);
   return *p;
 }
 
 std::int32_t Vpu::sload_i32(const std::int32_t* p) {
-  const double penalty = touch_range(p, 4);
+  const double penalty = touch_scalar(p);
   record(InstrKind::kScalarMem, timing_.scalar_mem_cycles() + penalty, 0);
   return *p;
 }
 
 void Vpu::sstore(double* p, double v) {
   *p = v;
-  const double penalty = touch_elem(p);
+  const double penalty = touch_scalar(p);
   record(InstrKind::kScalarMem, timing_.scalar_mem_cycles() + penalty, 0);
 }
 
 void Vpu::sstore_i32(std::int32_t* p, std::int32_t v) {
   *p = v;
-  const double penalty = touch_range(p, 4);
+  const double penalty = touch_scalar(p);
   record(InstrKind::kScalarMem, timing_.scalar_mem_cycles() + penalty, 0);
 }
 

@@ -14,9 +14,9 @@
 // broadcasts and merges, plus the scalar core.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "mem/memory_hierarchy.h"
 #include "sim/counters.h"
@@ -160,11 +160,55 @@ class Vpu {
  private:
   void record(InstrKind kind, double cycles, int vl_used);
 
+  /// Cache-counter tally of one instruction's line touches.  Lanes are
+  /// 8-byte-aligned doubles (or 4-byte-aligned 32-bit integers) and lines
+  /// are powers of two of at least 8 bytes, so a lane touches exactly one
+  /// line.
+  struct MemTally {
+    double penalty = 0.0;
+    std::uint64_t accesses = 0;
+    std::uint64_t l1_misses = 0;
+    std::uint64_t l2_misses = 0;
+
+    void touch(mem::MemoryHierarchy& m, const void* p) {
+      touch(m, reinterpret_cast<std::uintptr_t>(p));
+    }
+    void touch(mem::MemoryHierarchy& m, std::uintptr_t addr) {
+      const mem::AccessResult r = m.access(addr);
+      penalty += r.penalty;
+      ++accesses;
+      l1_misses += r.level > 1 ? 1 : 0;
+      l2_misses += r.level > 2 ? 1 : 0;
+    }
+  };
+
+  /// Add @p t to the totals and the open phase; returns its penalty.
+  double commit(const MemTally& t);
   /// Touch whole lines of [addr, addr+bytes); returns cycle penalty and
   /// updates cache counters.
   double touch_range(const void* p, std::size_t bytes);
-  /// Touch the single line containing an 8-byte element.
-  double touch_elem(const void* p);
+  /// Touch the single line of one scalar element; as touch_range.
+  double touch_scalar(const void* p);
+
+  /// Set of the distinct host lines one vgather touches: open addressing
+  /// over 2 * kMaxVl slots, so it is at most half full.  A slot is occupied
+  /// when its stamp equals the current generation; clear() bumps the
+  /// 64-bit generation (it never wraps) and so empties the set in O(1).
+  class LineSet {
+   public:
+    void clear() { ++gen_; }
+    /// Insert line-aligned host address @p line; true if it is new.
+    bool insert(std::uintptr_t line);
+
+   private:
+    static constexpr std::size_t kSlots = 2 * static_cast<std::size_t>(kMaxVl);
+    struct Slot {
+      std::uintptr_t line = 0;
+      std::uint64_t gen = 0;
+    };
+    std::array<Slot, kSlots> slots_{};
+    std::uint64_t gen_ = 1;  // slots start at generation 0: empty
+  };
 
   void require_vector(const char* what) const;
   void require_operands(const Vec& a, const char* what) const;
@@ -179,9 +223,9 @@ class Vpu {
   Counters total_;
   InstrObserver* observer_ = nullptr;
   int vl_ = 0;
-  /// Scratch for the per-gather distinct-line count (host-side only; never
-  /// touched by the simulated memory hierarchy).
-  std::vector<std::uintptr_t> gather_lines_scratch_;
+  /// Distinct-line count of vgather (host-side only; never touched by the
+  /// simulated memory hierarchy).
+  LineSet gather_lines_;
 };
 
 }  // namespace vecfd::sim

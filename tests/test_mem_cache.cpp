@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 #include "sanitizer_support.h"
 
+#include <string>
 #include <vector>
 
 #include "mem/cache.h"
@@ -74,6 +75,34 @@ TEST(Cache, RejectsNonPowerOfTwoLine) {
   EXPECT_THROW(Cache({.size_bytes = 1024, .line_bytes = 48,
                       .associativity = 2, .name = "bad"}),
                std::invalid_argument);
+}
+
+// A line must hold a double; this also keeps the all-ones empty-way tag
+// out of the set of line numbers.
+TEST(Cache, LinesSmallerThanADoubleAreRejected) {
+  for (std::size_t bytes : {1u, 2u, 4u}) {
+    try {
+      Cache c({.size_bytes = 1024, .line_bytes = bytes, .associativity = 2,
+               .name = "tiny"});
+      ADD_FAILURE() << "line_bytes " << bytes << " accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("'tiny'"), std::string::npos) << msg;
+      EXPECT_NE(msg.find("line_bytes must be at least 8"), std::string::npos)
+          << msg;
+    }
+  }
+  Cache c({.size_bytes = 1024, .line_bytes = 8, .associativity = 2,
+           .name = "ok"});
+  EXPECT_FALSE(c.access(0));
+  EXPECT_TRUE(c.access(7));
+  EXPECT_FALSE(c.access(8));
+  // The top line of the address space is an ordinary tag, never "empty".
+  const std::uintptr_t top = ~std::uintptr_t{0};
+  EXPECT_FALSE(c.access(top));
+  EXPECT_TRUE(c.access(0));
+  EXPECT_TRUE(c.access(top));  // a way-scan hit, not the MRU shortcut
+  EXPECT_EQ(c.resident_lines(), 3u);
 }
 
 TEST(Cache, RejectsZeroAssociativityWithCapacity) {
@@ -164,8 +193,8 @@ TEST(MemoryHierarchy, MismatchedLineSizesAreRejected) {
   EXPECT_THROW(MemoryHierarchy{h}, std::invalid_argument);
 }
 
-// A line must hold a double; this also keeps the line table's all-ones
-// empty key out of the set of line-aligned host addresses.
+// A line must hold a double; this also keeps the line map's all-ones
+// empty page key out of the set of host page numbers.
 TEST(MemoryHierarchy, LinesSmallerThanADoubleAreRejected) {
   HierarchyConfig h = small_hier();
   h.l1.line_bytes = h.l2.line_bytes = 4;

@@ -1,7 +1,8 @@
 // Differential oracle for the fast memory model.
 //
 // mem::Cache and mem::MemoryHierarchy run a division-free set index, an
-// MRU fast path, a flat first-touch line table and a last-line memo.  Each
+// MRU fast path, tag-array sets, a page-grouped first-touch line map and a
+// last-page memo.  Each
 // is an exact optimization: for ANY access stream the fast model must
 // serve every access from the same level with the same penalty as the
 // straightforward reference model (tests/reference_memory_model.h), and
@@ -14,6 +15,8 @@
 //   * strided streams whose stride aliases cache sets,
 //   * the recorded column stream of an ELL pressure operator (the Krylov
 //     solves' x-gather), with x placed at host address 0,
+//   * page-structured streams: runs across page-block boundaries, one line
+//     per page, a flush inside a page, the top page of the address space,
 // with flush() calls in mid-stream, over every platform geometry plus a
 // non-power-of-two set count, 64- and 128-byte lines, a single-set cache
 // and a capacity-less L1.
@@ -313,6 +316,130 @@ TEST(MemOracle, EllPressureColumnStream) {
                  "ell strip " + std::to_string(strip));
     }
   }
+}
+
+// ---- page-grouped line map ------------------------------------------------
+//
+// The fast model keys its line map by host page (kPageLines lines).  These
+// streams aim at the page structure: runs that cross page-block
+// boundaries, pages holding a single line, a flush that lands inside a
+// page, and the top page of the address space.
+
+constexpr std::size_t kPageLines = mem::MemoryHierarchy::kPageLines;
+
+std::vector<Op> accesses(const std::vector<std::uintptr_t>& addrs) {
+  std::vector<Op> ops;
+  ops.reserve(addrs.size());
+  for (std::uintptr_t a : addrs) ops.push_back({.addr = a});
+  return ops;
+}
+
+TEST(MemOracle, UnitStrideRunsCrossPageBlocks) {
+  for (const Geometry& g : geometries()) {
+    const std::uintptr_t line = g.h.l1.line_bytes;
+    const std::uintptr_t page = kPageLines * line;
+    // One run from three lines (plus one element) before a page boundary
+    // across five pages, twice.
+    run_oracle(g,
+               accesses(unit_stride_stream(7 * page - 3 * line + 8, 5 * page,
+                                           2)),
+               "run across pages");
+    // Three interleaved element streams (an axpy's x, y and y again), each
+    // crossing its page boundaries at a different element, so consecutive
+    // accesses keep leaving the memoized page.
+    const std::uintptr_t bases[] = {0x10000 - 5 * line,
+                                    0x7f00'0000 + 17 * line + 8,
+                                    0x2'0000'0000 - line};
+    std::vector<std::uintptr_t> addrs;
+    for (int pass = 0; pass < 3; ++pass) {
+      for (std::uintptr_t off = 0; off < 3 * page; off += 8) {
+        addrs.push_back(bases[0] + off);
+        addrs.push_back(bases[1] + off);
+        addrs.push_back(bases[2] + off);
+      }
+    }
+    run_oracle(g, accesses(addrs), "interleaved runs across pages");
+    run_oracle(g, with_flushes(addrs, 11, 5'000),
+               "interleaved runs across pages, flushed");
+  }
+}
+
+TEST(MemOracle, SparseStreamOneLinePerPage) {
+  // 3000 pages with one touched line each, at a different line of every
+  // page: the map grows by pages, not by lines.  The second pass walks
+  // the pages backwards, the third forwards again.
+  for (const Geometry& g : geometries()) {
+    const std::uintptr_t line = g.h.l1.line_bytes;
+    const std::uintptr_t page = kPageLines * line;
+    std::vector<std::uintptr_t> one_pass;
+    for (std::uintptr_t k = 0; k < 3000; ++k) {
+      one_pass.push_back((3 * k + 1) * page + ((37 * k) % kPageLines) * line +
+                         8 * (k % 4));
+    }
+    std::vector<std::uintptr_t> addrs = one_pass;
+    addrs.insert(addrs.end(), one_pass.rbegin(), one_pass.rend());
+    addrs.insert(addrs.end(), one_pass.begin(), one_pass.end());
+    run_oracle(g, accesses(addrs), "one line per page");
+    run_oracle(g, with_flushes(addrs, 12, 1'000), "one line per page, flushed");
+  }
+}
+
+TEST(MemOracle, FlushInTheMiddleOfAPage) {
+  // Page p is the first page touched in both measurement regions, so it
+  // gets the same id block before and after the flush; page q is new
+  // after it.  A flush that kept p's ids, the page memo or the table
+  // would alias lines of p and q onto stale canonical lines.
+  for (const Geometry& g : geometries()) {
+    const std::uintptr_t line = g.h.l1.line_bytes;
+    const std::uintptr_t page = kPageLines * line;
+    const std::uintptr_t p = 5 * page;
+    const std::uintptr_t q = 9 * page;
+    std::vector<Op> ops;
+    auto touch_lines = [&](std::uintptr_t base, std::size_t from,
+                           std::size_t to) {
+      for (std::size_t l = from; l < to; ++l) {
+        ops.push_back({.addr = base + l * line});
+        ops.push_back({.addr = base + l * line + 8});
+      }
+    };
+    touch_lines(p, 0, kPageLines / 2);
+    ops.push_back({.flush = true});  // the memo still holds page p
+    touch_lines(p, kPageLines / 4, 3 * kPageLines / 4);
+    touch_lines(q, 0, kPageLines);
+    touch_lines(p, 0, kPageLines);
+    touch_lines(q, 0, kPageLines);
+    ops.push_back({.flush = true});
+    touch_lines(q, kPageLines / 2, kPageLines);
+    touch_lines(p, 0, kPageLines);
+    touch_lines(q, 0, kPageLines);
+    run_oracle(g, ops, "flush mid-page");
+  }
+}
+
+TEST(MemOracle, TopPageOfTheAddressSpaceOn128ByteLines) {
+  // SX-Aurora's 128-byte lines: the top page holds the largest page
+  // number the map can see, next to the all-ones empty key.  Walk the top
+  // two pages element by element, interleaved with host address 0, then
+  // revisit them after a flush in reverse.
+  const sim::MachineConfig m = platforms::sx_aurora();
+  ASSERT_EQ(m.memory.l1.line_bytes, 128u);
+  const Geometry g{m.name, m.memory};
+  const std::uintptr_t page = kPageLines * 128;
+  const std::uintptr_t top = ~std::uintptr_t{0} - 2 * page + 1;
+  std::vector<Op> ops;
+  for (std::uintptr_t off = 0; off < 2 * page; off += 8) {
+    ops.push_back({.addr = top + off});
+    if (off % 512 == 0) ops.push_back({.addr = off / 4});
+  }
+  ops.push_back({.addr = ~std::uintptr_t{7}});
+  ops.push_back({.flush = true});
+  for (std::uintptr_t off = 2 * page; off > 0; off -= 64) {
+    ops.push_back({.addr = top + off - 8});
+  }
+  for (std::uintptr_t off = 0; off < 2 * page; off += 8) {
+    ops.push_back({.addr = top + off});
+  }
+  run_oracle(g, ops, "top pages");
 }
 
 TEST(MemOracle, TouchRangeMatchesReference) {
