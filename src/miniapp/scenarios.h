@@ -45,6 +45,8 @@ struct Scenario {
 
   /// Velocity Dirichlet condition: returns true and fills @p val when the
   /// node is constrained at time @p t.  Only ever true on boundary nodes.
+  /// Must be a pure function of (mesh, node, t): the TimeLoop evaluates it
+  /// once per step and re-imposes the cached values after the correction.
   std::function<bool(const fem::Mesh&, int node, double t,
                      std::array<double, fem::kDim>& val)>
       velocity_bc;

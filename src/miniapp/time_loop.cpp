@@ -58,7 +58,212 @@ MiniAppConfig make_app_config(const TimeLoopConfig& cfg) {
   return app;
 }
 
+std::array<double, fem::kDim> filled(double v) {
+  std::array<double, fem::kDim> a;
+  a.fill(v);
+  return a;
+}
+
 }  // namespace
+
+// ---- solve space ---------------------------------------------------------
+
+TimeLoop::SolveSpace::SolveSpace(const fem::Mesh& mesh)
+    : perm_(fem::rcm_ordering(mesh.node_adjacency())) {
+  // One RCM ordering serves both solves (momentum and pressure share the
+  // node-adjacency pattern).
+  const solver::CsrMatrix pattern(mesh.node_adjacency());
+  mom_perm_ = solver::permute_symmetric(pattern, perm_);
+  mom_value_map_.resize(pattern.nnz());
+  const auto rowptr = mom_perm_.rowptr();
+  for (int q = 0; q < mom_perm_.rows(); ++q) {
+    const auto cs = mom_perm_.row_cols(q);
+    const int old_row = perm_[static_cast<std::size_t>(q)];
+    for (std::size_t k = 0; k < cs.size(); ++k) {
+      mom_value_map_[static_cast<std::size_t>(rowptr[q]) + k] =
+          pattern.find(old_row, perm_[static_cast<std::size_t>(cs[k])]);
+    }
+  }
+}
+
+std::size_t TimeLoop::SolveSpace::node_index(std::size_t i) const {
+  if (perm_.empty()) return i;
+  const std::size_t q = i % perm_.size();
+  return i - q + static_cast<std::size_t>(perm_[q]);
+}
+
+template <class Src, class Dst>
+void TimeLoop::SolveSpace::to_solve_order(const Src& src, Dst&& dst) const {
+  for (std::size_t i = 0; i < src.size(); ++i) dst[i] = src[node_index(i)];
+}
+
+template <class Src, class Dst>
+void TimeLoop::SolveSpace::from_solve_order(const Src& src, Dst&& dst) const {
+  for (std::size_t i = 0; i < src.size(); ++i) dst[node_index(i)] = src[i];
+}
+
+const solver::CsrMatrix& TimeLoop::SolveSpace::momentum(
+    const solver::CsrMatrix& k) {
+  if (perm_.empty()) return k;
+  const auto sv = k.vals();
+  const auto pv = mom_perm_.vals();
+  for (std::size_t i = 0; i < mom_value_map_.size(); ++i) {
+    pv[i] = sv[static_cast<std::size_t>(mom_value_map_[i])];
+  }
+  return mom_perm_;
+}
+
+template <class Solve>
+auto TimeLoop::SolveSpace::solve(std::span<const double> b,
+                                 std::span<double> x, Scratch& scratch,
+                                 std::size_t at, Solve&& fn) const {
+  if (perm_.empty()) return fn(b, x);
+  const auto bp = std::span<double>(scratch.b).subspan(at, b.size());
+  const auto xp = std::span<double>(scratch.x).subspan(at, x.size());
+  to_solve_order(b, bp);
+  to_solve_order(x, xp);
+  auto report = fn(std::span<const double>(bp), xp);
+  from_solve_order(xp, x);
+  return report;
+}
+
+// ---- machines and step context ---------------------------------------------
+
+/// The machines of one run: the caller's coordinator Vpu and, when the
+/// sharded pressure path is on, one Vpu per shard.  Every aggregate walks
+/// them in ONE order — coordinator first, then shards by index — so the
+/// double-typed cycle counters associate identically in the uninterrupted
+/// and the resumed run.
+struct TimeLoop::MachineGroup {
+  sim::Vpu& coord;
+  std::unique_ptr<solver::ShardedCg> sharded;
+
+  template <class Fn>
+  void each(Fn&& fn) const {
+    fn(coord, false);
+    for (int p = 0; sharded && p < sharded->shards(); ++p) {
+      fn(sharded->shard_vpu(p), true);
+    }
+  }
+
+  /// {coordinator, Σ shard} cycles: the two clocks of StepReport::cycles.
+  std::pair<double, double> clock() const {
+    std::pair<double, double> c{0.0, 0.0};
+    each([&c](const sim::Vpu& v, bool shard) {
+      (shard ? c.second : c.first) += v.counters().total_cycles();
+    });
+    return c;
+  }
+
+  /// carried ⊕ coordinator ⊕ shard 0..P−1, totals and per phase together.
+  /// The critical path is the carried ShardedCg makespan plus this epoch's
+  /// when the sharded path runs, otherwise the phase-10 serial total.
+  void fold_into(sim::Counters& total, std::vector<sim::Counters>& phase,
+                 double& makespan) const {
+    phase.resize(static_cast<std::size_t>(kNumInstrumentedPhases) + 1);
+    each([&](const sim::Vpu& v, bool) {
+      total += v.counters();
+      for (int p = 0; p <= kNumInstrumentedPhases; ++p) {
+        phase[static_cast<std::size_t>(p)] += v.profiler().phase(p);
+      }
+    });
+    makespan = sharded ? makespan + sharded->makespan_cycles()
+                       : phase[kPressurePhase].total_cycles();
+  }
+
+  /// Caches cold, canonical first-touch maps forgotten, counters zeroed.
+  void reset() {
+    if (sharded) sharded->reset();
+    coord.reset();
+  }
+};
+
+/// Everything one run() works in.  Every buffer the Vpu touches is
+/// allocated here once, before the first step, and reused in place: the
+/// deterministic memory model renames host lines in first-touch order, so
+/// mid-measurement free/realloc churn of touched buffers would couple cache
+/// behaviour to allocator history (see mem/memory_hierarchy.h).  The Krylov
+/// workspaces extend the same guarantee into the solvers.
+struct TimeLoop::StepContext {
+  StepContext(const TimeLoop& loop, sim::Vpu& vpu);
+
+  std::span<double> col(std::vector<double>& blk, int d) const {
+    return std::span<double>(blk).subspan(static_cast<std::size_t>(d) * un,
+                                          un);
+  }
+  std::span<const double> ccol(const std::vector<double>& blk, int d) const {
+    return std::span<const double>(blk).subspan(
+        static_cast<std::size_t>(d) * un, un);
+  }
+  /// vel_now ← ustar_blk, from component blocks to [node][d].
+  void interleave_ustar() {
+    for (std::size_t n = 0; n < un; ++n) {
+      for (std::size_t d = 0; d < fem::kDim; ++d) {
+        vel_now[n * fem::kDim + d] = ustar_blk[d * un + n];
+      }
+    }
+  }
+  /// Dirichlet rows of RHS column @p d (host).
+  void impose_bc_rhs(int d) {
+    for (std::size_t n = 0; n < un; ++n) {
+      if (fixed[n]) {
+        b_blk[static_cast<std::size_t>(d) * un + n] =
+            bc[n][static_cast<std::size_t>(d)];
+      }
+    }
+  }
+
+  const std::size_t un;
+  const double rho_dt;
+  /// SELL slice height: the strip the solve kernels actually run
+  /// (solver::solve_effective_strip).
+  const int slice_c;
+  MachineGroup machines;
+
+  int step = 0;
+  double t_next = 0.0;
+  StepReport rep;
+
+  std::vector<double> vel_now;
+  // Node-major component blocks (column d spans [d·nn, (d+1)·nn)): the
+  // layout the blocked phase-9/11 kernels stream; the per-component path
+  // works on the same columns through single-RHS kernels.
+  std::vector<double> u_blk, b_blk, tmp_blk, ustar_blk;
+  std::vector<double> phi, b_p;
+  std::vector<double> div, grad;
+  MiniAppResult ar;
+  ElementChunk ch;
+  solver::CsrMatrix k_bc;
+  solver::OperatorMirror dtmass_op, k_op;
+  solver::KrylovWorkspace momentum_ws, pressure_ws;
+  std::vector<char> fixed;
+  std::vector<std::array<double, fem::kDim>> bc;
+  SolveSpace::Scratch momentum_scratch, pressure_scratch;
+};
+
+TimeLoop::StepContext::StepContext(const TimeLoop& loop, sim::Vpu& vpu)
+    : un(static_cast<std::size_t>(loop.mesh_->num_nodes())),
+      rho_dt(loop.state_.physics().density / loop.state_.physics().dt),
+      slice_c(solver::solve_effective_strip(loop.cfg_.vector_size,
+                                            vpu.config())),
+      machines{vpu, loop.make_sharded(vpu, slice_c)},
+      ch(loop.cfg_.vector_size, /*with_matrix=*/true),
+      fixed(un, 0),
+      bc(un) {
+  for (auto* v : {&vel_now, &u_blk, &b_blk, &tmp_blk, &ustar_blk}) {
+    v->resize(un * fem::kDim);
+  }
+  phi.resize(un);
+  b_p.resize(un);
+  dtmass_op.assign(loop.dtmass_, loop.cfg_.format, slice_c);
+  if (loop.cfg_.rcm_renumber) {
+    momentum_scratch = {std::vector<double>(un * fem::kDim),
+                        std::vector<double>(un * fem::kDim)};
+    pressure_scratch = {std::vector<double>(un), std::vector<double>(un)};
+  }
+}
+
+// ---- TimeLoop --------------------------------------------------------------
 
 TimeLoop::TimeLoop(const fem::Mesh& mesh, const Scenario& scenario,
                    TimeLoopConfig cfg)
@@ -104,58 +309,21 @@ TimeLoop::TimeLoop(const fem::Mesh& mesh, const Scenario& scenario,
   for (double& m : lumped_inv_) m = 1.0 / m;
 
   if (cfg_.rcm_renumber) {
-    // One RCM ordering serves both solves (momentum and pressure share the
-    // node-adjacency pattern).  The pinned Laplacian has constant values,
-    // so it is permuted once here; the momentum operator changes values
-    // every step, so only its PATTERN twin and the nnz map are built now
-    // and step code refreshes mom_perm_.vals() in place.
-    rcm_perm_ = fem::rcm_ordering(mesh_->node_adjacency());
-    poisson_ = solver::permute_symmetric(poisson_, rcm_perm_);
-    const solver::CsrMatrix pattern(mesh_->node_adjacency());
-    mom_perm_ = solver::permute_symmetric(pattern, rcm_perm_);
-    mom_value_map_.resize(pattern.nnz());
-    const auto rowptr = mom_perm_.rowptr();
-    for (int q = 0; q < nn; ++q) {
-      const auto cs = mom_perm_.row_cols(q);
-      const int old_row = rcm_perm_[static_cast<std::size_t>(q)];
-      for (std::size_t k = 0; k < cs.size(); ++k) {
-        mom_value_map_[static_cast<std::size_t>(rowptr[q]) + k] =
-            pattern.find(old_row,
-                         rcm_perm_[static_cast<std::size_t>(cs[k])]);
-      }
-    }
+    // The pinned Laplacian has constant values, so it is permuted once here.
+    space_ = SolveSpace(*mesh_);
+    poisson_ = solver::permute_symmetric(poisson_, space_.perm());
   }
 
   // Pressure preconditioner ladder (DESIGN.md §8): the rung knob lands on
   // the phase-10 SolveOptions; kDeflate additionally needs the structured
-  // coarse space, composed with the RCM permutation when the solve runs in
-  // solve order (aggregate of solve row q = aggregate of node perm[q]).
+  // coarse space, in solve order (aggregate of solve row q = aggregate of
+  // node perm[q]).
   cfg_.pressure.precond.kind = cfg_.precond;
   if (cfg_.precond == solver::PrecondKind::kDeflate) {
-    std::vector<int> agg =
+    const std::vector<int> agg =
         fem::structured_aggregates(*mesh_, kDeflationAggregateFactor);
-    if (cfg_.rcm_renumber) {
-      std::vector<int> agg_solve(agg.size());
-      for (int q = 0; q < nn; ++q) {
-        agg_solve[static_cast<std::size_t>(q)] =
-            agg[static_cast<std::size_t>(
-                rcm_perm_[static_cast<std::size_t>(q)])];
-      }
-      agg.swap(agg_solve);
-    }
-    cfg_.pressure.precond.aggregates = std::move(agg);
-  }
-}
-
-void TimeLoop::apply_velocity_bc(std::vector<double>& vel, double t) const {
-  const int nn = mesh_->num_nodes();
-  std::array<double, fem::kDim> val;
-  for (int n = 0; n < nn; ++n) {
-    if (!scen_.velocity_bc(*mesh_, n, t, val)) continue;
-    for (int d = 0; d < fem::kDim; ++d) {
-      vel[static_cast<std::size_t>(n) * fem::kDim +
-          static_cast<std::size_t>(d)] = val[d];
-    }
+    cfg_.pressure.precond.aggregates.resize(agg.size());
+    space_.to_solve_order(agg, cfg_.pressure.precond.aggregates);
   }
 }
 
@@ -170,10 +338,8 @@ std::unique_ptr<solver::ShardedCg> TimeLoop::make_sharded(const sim::Vpu& vpu,
     return nullptr;
   }
   try {
-    fem::MeshPartition part = fem::partition_mesh(
-        *mesh_, cfg_.shards, slice,
-        cfg_.rcm_renumber ? std::span<const int>(rcm_perm_)
-                          : std::span<const int>{});
+    fem::MeshPartition part =
+        fem::partition_mesh(*mesh_, cfg_.shards, slice, space_.perm());
     return std::make_unique<solver::ShardedCg>(
         std::move(part.plan), poisson_, vpu.config(), cfg_.vector_size,
         kPressurePhase, vpu.profiler().num_phases());
@@ -225,12 +391,12 @@ void TimeLoop::restore(const TimeLoopCheckpoint& checkpoint,
   std::copy(checkpoint.unknowns_old.begin(), checkpoint.unknowns_old.end(),
             state_.unknowns_old().begin());
   time_ = checkpoint.time;
-  start_step_ = static_cast<int>(checkpoint.next_step);
-  carried_steps_ = checkpoint.step_reports;
-  carried_total_ = checkpoint.total_counters;
-  carried_phase_ = checkpoint.phase_counters;
-  carried_makespan_ = checkpoint.pressure_makespan_cycles;
-  carried_converged_ = checkpoint.all_converged;
+  next_step_ = static_cast<int>(checkpoint.next_step);
+  carried_ = {.steps = checkpoint.step_reports,
+              .all_converged = checkpoint.all_converged,
+              .total = checkpoint.total_counters,
+              .phase = checkpoint.phase_counters,
+              .pressure_makespan_cycles = checkpoint.pressure_makespan_cycles};
 }
 
 double TimeLoop::divergence_norm(const std::vector<double>& div) const {
@@ -241,462 +407,249 @@ double TimeLoop::divergence_norm(const std::vector<double>& div) const {
   return std::sqrt(s);
 }
 
+void TimeLoop::assemble(StepContext& s) {
+  // Sync time levels: old ← current, so the assembled residual is the
+  // Picard residual at uⁿ and b = rhs + (K − Mdt)·uⁿ is exactly the
+  // backward-Euler RHS Mdt·uⁿ + F + Ĝᵀpⁿ (see header).
+  const int nn = mesh_->num_nodes();
+  for (int n = 0; n < nn; ++n) {
+    for (int d = 0; d < fem::kDim; ++d) {
+      s.vel_now[static_cast<std::size_t>(n) * fem::kDim +
+                static_cast<std::size_t>(d)] = state_.velocity(n, d);
+    }
+  }
+  state_.push_time_level(s.vel_now);
+
+  // ---- phases 1–8: semi-implicit assembly of K and the residual rhs --
+  app_.assemble_into(s.machines.coord, s.ar, s.ch);
+
+  // Scenario Dirichlet data at the solution time t^{n+1}.  The hook is a
+  // pure function of (mesh, node, t), so this cache serves the whole step.
+  std::fill(s.fixed.begin(), s.fixed.end(), 0);
+  for (int n = 0; n < nn; ++n) {
+    std::array<double, fem::kDim> val;
+    if (scen_.velocity_bc(*mesh_, n, s.t_next, val)) {
+      s.fixed[static_cast<std::size_t>(n)] = 1;
+      s.bc[static_cast<std::size_t>(n)] = val;
+    }
+  }
+  s.k_bc = s.ar.matrix;
+  impose_dirichlet_rows(s.k_bc, s.fixed);
+  if (cfg_.fault.fires(sim::FaultKind::kZeroDiagonal, s.step)) {
+    inject_zero_diagonal(s.k_bc);
+  }
+  s.k_op.assign(s.ar.matrix, cfg_.format, s.slice_c);
+}
+
+void TimeLoop::solve_momentum(StepContext& s) {
+  // ---- phase 9: blocked multi-RHS momentum BiCGStab ------------------
+  // The kDim component systems share the operator K, so the RHS block is
+  // formed and solved with the multi-RHS kernels (one value/index slab
+  // load per strip feeding kDim gather streams); blocked_momentum = false
+  // runs the sequential 9a–9c reference on the same column buffers —
+  // bit-identical per component (DESIGN.md §5).
+  sim::Vpu& vpu = s.machines.coord;
+  const int vs = cfg_.vector_size;
+  sim::ScopedPhase scope(vpu.profiler(), kSolvePhase);
+  for (int d = 0; d < fem::kDim; ++d) {
+    solver::vpack_strided(vpu, state_.unknowns_data() + d, fem::kDofs,
+                          s.col(s.u_blk, d), vs);
+    solver::vpack_strided(vpu, s.ar.rhs.data() + d, fem::kDim,
+                          s.col(s.b_blk, d), vs);
+  }
+  const solver::CsrMatrix& k = space_.momentum(s.k_bc);
+  if (cfg_.blocked_momentum) {
+    s.k_op.apply_multi(vpu, s.u_blk, s.tmp_blk, fem::kDim, vs);
+    solver::vaxpy_multi(vpu, filled(1.0), s.tmp_blk, s.b_blk, fem::kDim, vs);
+    s.dtmass_op.apply_multi(vpu, s.u_blk, s.tmp_blk, fem::kDim, vs);
+    solver::vaxpy_multi(vpu, filled(-1.0), s.tmp_blk, s.b_blk, fem::kDim,
+                        vs);
+    for (int d = 0; d < fem::kDim; ++d) s.impose_bc_rhs(d);
+    solver::vcopy_multi(vpu, s.u_blk, s.ustar_blk, fem::kDim, vs);
+    auto reps = space_.solve(
+        s.b_blk, s.ustar_blk, s.momentum_scratch, 0, [&](auto b, auto x) {
+          return solver::vbicgstab_multi(vpu, k, b, x, fem::kDim,
+                                         cfg_.momentum, vs, &s.momentum_ws,
+                                         cfg_.format);
+        });
+    std::move(reps.begin(), reps.end(), s.rep.momentum.begin());
+    return;
+  }
+  for (int d = 0; d < fem::kDim; ++d) {
+    s.k_op.apply(vpu, s.ccol(s.u_blk, d), s.col(s.tmp_blk, d), vs);
+    solver::vaxpy(vpu, 1.0, s.ccol(s.tmp_blk, d), s.col(s.b_blk, d), vs);
+    s.dtmass_op.apply(vpu, s.ccol(s.u_blk, d), s.col(s.tmp_blk, d), vs);
+    solver::vaxpy(vpu, -1.0, s.ccol(s.tmp_blk, d), s.col(s.b_blk, d), vs);
+    s.impose_bc_rhs(d);
+    solver::vcopy(vpu, s.ccol(s.u_blk, d), s.col(s.ustar_blk, d), vs);
+    s.rep.momentum[static_cast<std::size_t>(d)] = space_.solve(
+        s.ccol(s.b_blk, d), s.col(s.ustar_blk, d), s.momentum_scratch,
+        static_cast<std::size_t>(d) * s.un, [&](auto b, auto x) {
+          return solver::vbicgstab(vpu, k, b, x, cfg_.momentum, vs,
+                                   &s.momentum_ws, cfg_.format);
+        });
+  }
+}
+
+void TimeLoop::solve_pressure(StepContext& s) {
+  // ---- phase 10: pressure-Poisson CG ----------------------------------
+  s.interleave_ustar();
+  fem::assemble_weak_divergence_into(*mesh_, app_.shape(), s.vel_now, s.div);
+  if (cfg_.fault.fires(sim::FaultKind::kNanRhs, s.step)) {
+    // nan-rhs fault: poison the host-assembled divergence, so NaN must
+    // travel the full b_p → solve → correction → diagnostics pipeline.
+    std::fill(s.div.begin(), s.div.end(),
+              std::numeric_limits<double>::quiet_NaN());
+  }
+  s.rep.div_before = divergence_norm(s.div);
+
+  sim::Vpu& vpu = s.machines.coord;
+  const int vs = cfg_.vector_size;
+  sim::ScopedPhase scope(vpu.profiler(), kPressurePhase);
+  // breakdown fault: a copy of the pressure options with the injection
+  // armed, routed through the legacy vcg — its instrumented failure
+  // exit is the one the sharded path falls back to anyway.
+  const bool inject_breakdown =
+      cfg_.fault.fires(sim::FaultKind::kSolverBreakdown, s.step);
+  solver::SolveOptions popts_injected;
+  if (inject_breakdown) {
+    popts_injected = cfg_.pressure;
+    popts_injected.inject_breakdown = true;
+  }
+  const solver::SolveOptions& popts =
+      inject_breakdown ? popts_injected : cfg_.pressure;
+  solver::ShardedCg* sharded =
+      inject_breakdown ? nullptr : s.machines.sharded.get();
+  solver::vfill(vpu, s.b_p, 0.0, vs);
+  solver::vaxpy(vpu, -s.rho_dt, s.div, s.b_p, vs);  // b = −(ρ/Δt)·D u*
+  for (int r : pressure_pins_) s.b_p[static_cast<std::size_t>(r)] = 0.0;
+  std::fill(s.phi.begin(), s.phi.end(), 0.0);
+  s.rep.pressure = space_.solve(
+      s.b_p, s.phi, s.pressure_scratch, 0, [&](auto b, auto x) {
+        return sharded ? sharded->solve(vpu, b, x, popts)
+                       : solver::vcg(vpu, poisson_, b, x, popts, vs,
+                                     &s.pressure_ws, cfg_.format);
+      });
+}
+
+void TimeLoop::correct_velocity(StepContext& s) {
+  // ---- phase 11: BLAS-1 velocity correction ---------------------------
+  fem::assemble_weak_gradient_into(*mesh_, app_.shape(), s.phi, s.grad);
+  sim::Vpu& vpu = s.machines.coord;
+  const int vs = cfg_.vector_size;
+  sim::ScopedPhase scope(vpu.profiler(), kCorrectionPhase);
+  for (int d = 0; d < fem::kDim; ++d) {
+    solver::vpack_strided(vpu, s.grad.data() + d, fem::kDim,
+                          s.col(s.b_blk, d), vs);
+  }
+  if (cfg_.blocked_momentum) {
+    // M_L⁻¹ Ĝφ for all components, one fused pass per kernel
+    solver::vjacobi_apply_multi(vpu, lumped_inv_, s.b_blk, s.tmp_blk,
+                                fem::kDim, vs);
+    solver::vaxpy_multi(vpu, filled(-1.0 / s.rho_dt), s.tmp_blk,
+                        s.ustar_blk, fem::kDim, vs);
+    return;
+  }
+  for (int d = 0; d < fem::kDim; ++d) {
+    solver::vjacobi_apply(vpu, lumped_inv_, s.ccol(s.b_blk, d),
+                          s.col(s.tmp_blk, d), vs);  // M_L⁻¹ Ĝφ
+    solver::vaxpy(vpu, -1.0 / s.rho_dt, s.ccol(s.tmp_blk, d),
+                  s.col(s.ustar_blk, d), vs);
+  }
+}
+
+void TimeLoop::write_back(StepContext& s) {
+  // uⁿ⁺¹ with the step's Dirichlet data re-imposed and pⁿ⁺¹ = pⁿ + φ
+  // into the state; measure the projected divergence.
+  s.interleave_ustar();
+  for (std::size_t n = 0; n < s.un; ++n) {
+    if (!s.fixed[n]) continue;
+    std::copy(s.bc[n].begin(), s.bc[n].end(),
+              s.vel_now.begin() + static_cast<std::ptrdiff_t>(n * fem::kDim));
+  }
+  fem::assemble_weak_divergence_into(*mesh_, app_.shape(), s.vel_now, s.div);
+  s.rep.div_after = divergence_norm(s.div);
+
+  auto unk = state_.unknowns();
+  for (std::size_t n = 0; n < s.un; ++n) {
+    for (std::size_t d = 0; d < fem::kDim; ++d) {
+      unk[n * fem::kDofs + d] = s.vel_now[n * fem::kDim + d];
+    }
+    unk[n * fem::kDofs + fem::kDim] += s.phi[n];
+  }
+}
+
+void TimeLoop::end_epoch(StepContext& s, TimeLoopResult& res,
+                         int done) const {
+  // Epoch boundary of the checkpoint/restart protocol (DESIGN.md §10):
+  // capture the accumulated state for the sink, then drain the machines
+  // into the carried totals and reset them outright.  Folding whole-epoch
+  // subtotals instead of letting one accumulator run across epochs keeps
+  // the double-typed cycle counters associating identically in the
+  // uninterrupted and the resumed run, so the restart is bit-identical
+  // down to the last ulp; the reset leaves caches cold and the first-touch
+  // map forgotten, exactly like the restarted process the next epoch must
+  // be indistinguishable from.  The final boundary (done == steps)
+  // captures without draining, so a completed point replays identically
+  // under --resume.
+  if (cfg_.checkpoint_every <= 0) return;
+  const bool drain = done % cfg_.checkpoint_every == 0 && done < cfg_.steps;
+  if (ckpt_sink_ && (drain || done == cfg_.steps)) {
+    TimeLoopCheckpoint c{
+        .config_hash = ckpt_hash_,
+        .next_step = done,
+        .time = time_,
+        .unknowns = {state_.unknowns().begin(), state_.unknowns().end()},
+        .unknowns_old = {state_.unknowns_old().begin(),
+                         state_.unknowns_old().end()},
+        .step_reports = res.steps,
+        .total_counters = res.total,
+        .phase_counters = res.phase,
+        .all_converged = res.all_converged,
+        .pressure_makespan_cycles = res.pressure_makespan_cycles};
+    s.machines.fold_into(c.total_counters, c.phase_counters,
+                         c.pressure_makespan_cycles);
+    ckpt_sink_(c);
+  }
+  if (drain) {
+    s.machines.fold_into(res.total, res.phase, res.pressure_makespan_cycles);
+    s.machines.reset();
+  }
+}
+
 TimeLoopResult TimeLoop::run(sim::Vpu& vpu) {
   vpu.reset();
-  const fem::Physics& phys = state_.physics();
-  const fem::ShapeTable& shape = app_.shape();
-  const int nn = mesh_->num_nodes();
-  const std::size_t un = static_cast<std::size_t>(nn);
-  const int vs = cfg_.vector_size;
-  const double rho_dt = phys.density / phys.dt;
-
-  // Operator mirrors in the configured storage format; SELL slices at the
-  // strip the solve kernels actually run (solver::solve_effective_strip).
-  const int slice_c = solver::solve_effective_strip(vs, vpu.config());
-  solver::OperatorMirror dtmass_op;
-  dtmass_op.assign(dtmass_, cfg_.format, slice_c);
-
-  // Sharded pressure context (DESIGN.md §9): built fresh per run so the
-  // shard Vpus' memory hierarchies start from a deterministic first-touch
-  // state, null when the configuration falls back to the legacy path.
-  const std::unique_ptr<solver::ShardedCg> sharded = make_sharded(vpu, slice_c);
-  const auto shard_cycles = [&sharded]() {
-    double c = 0.0;
-    if (sharded) {
-      for (int p = 0; p < sharded->shards(); ++p) {
-        c += sharded->shard_vpu(p).counters().total_cycles();
-      }
-    }
-    return c;
-  };
-
-  // Consume the restore() carry-over.  All of it is empty/zero unless
-  // restore() seeded it, so the default path aggregates exactly as before
-  // (bit-for-bit: golden CSVs and BENCH baselines are unchanged).
-  // Mutable: the epoch folds below grow the base at every flush boundary.
-  const int first_step = std::exchange(start_step_, 0);
-  sim::Counters carried_total = std::exchange(carried_total_, {});
-  std::vector<sim::Counters> carried_phase = std::move(carried_phase_);
-  carried_phase_.clear();
-  double carried_makespan = std::exchange(carried_makespan_, 0.0);
-
-  TimeLoopResult res;
-  res.steps = std::move(carried_steps_);
-  carried_steps_.clear();
+  StepContext s(*this, vpu);
+  // Nothing for a fresh loop; after restore(), the reports and counters of
+  // the steps before the cursor, which the folds below grow.
+  TimeLoopResult res = std::exchange(carried_, {});
   res.steps.reserve(static_cast<std::size_t>(cfg_.steps));
-  res.all_converged = std::exchange(carried_converged_, true);
 
-  // Everything the Vpu touches is allocated once, before the first step,
-  // and reused in place: the deterministic memory model renames host lines
-  // in first-touch order, so mid-measurement free/realloc churn of touched
-  // buffers would couple cache behaviour to allocator history (see
-  // mem/memory_hierarchy.h).  The Krylov workspaces extend the same
-  // guarantee into the solvers.
-  std::vector<double> vel_now(un * fem::kDim);
-  // Node-major component blocks (column d spans [d·nn, (d+1)·nn)): the
-  // layout the blocked phase-9/11 kernels stream; the per-component path
-  // works on the same columns through single-RHS kernels.
-  std::vector<double> u_blk(un * fem::kDim), b_blk(un * fem::kDim);
-  std::vector<double> tmp_blk(un * fem::kDim), ustar_blk(un * fem::kDim);
-  const auto col = [un](std::vector<double>& blk, int d) {
-    return std::span<double>(blk).subspan(static_cast<std::size_t>(d) * un,
-                                          un);
-  };
-  const auto ccol = [un](const std::vector<double>& blk, int d) {
-    return std::span<const double>(blk).subspan(
-        static_cast<std::size_t>(d) * un, un);
-  };
-  std::array<double, fem::kDim> ones;
-  ones.fill(1.0);
-  std::array<double, fem::kDim> minus_ones;
-  minus_ones.fill(-1.0);
-  std::array<double, fem::kDim> corr_scale;
-  corr_scale.fill(-1.0 / rho_dt);
-  std::vector<double> phi(un), b_p(un);
-  std::vector<double> div, grad;
-  MiniAppResult ar;
-  ElementChunk ch(cfg_.vector_size, /*with_matrix=*/true);
-  solver::CsrMatrix k_bc;
-  solver::OperatorMirror k_op;
-  solver::KrylovWorkspace momentum_ws, pressure_ws;
-  std::vector<char> fixed(un, 0);
-  std::vector<std::array<double, fem::kDim>> bc(un);
-
-  // RCM solve-space marshalling (host-side, uncounted — the operator-setup
-  // policy of solver/vkernels.h): the solvers see permuted systems through
-  // these buffers, which are Vpu-touched inside the solves and therefore
-  // hoisted like every other measured buffer.
-  std::vector<double> bp_blk, xp_blk, bp_p, phi_p;
-  if (cfg_.rcm_renumber) {
-    bp_blk.assign(un * fem::kDim, 0.0);
-    xp_blk.assign(un * fem::kDim, 0.0);
-    bp_p.assign(un, 0.0);
-    phi_p.assign(un, 0.0);
-  }
-  const auto to_solve_order = [&](std::span<const double> src,
-                                  std::span<double> dst) {
-    for (int q = 0; q < nn; ++q) {
-      dst[static_cast<std::size_t>(q)] =
-          src[static_cast<std::size_t>(rcm_perm_[static_cast<std::size_t>(q)])];
-    }
-  };
-  const auto from_solve_order = [&](std::span<const double> src,
-                                    std::span<double> dst) {
-    for (int q = 0; q < nn; ++q) {
-      dst[static_cast<std::size_t>(rcm_perm_[static_cast<std::size_t>(q)])] =
-          src[static_cast<std::size_t>(q)];
-    }
-  };
-  // Refresh P·K·Pᵀ values in place from the freshly assembled (and
-  // Dirichlet-imposed) K — pattern and buffers stay fixed across steps.
-  const auto refresh_mom_perm = [&](const solver::CsrMatrix& src) {
-    const auto sv = src.vals();
-    const auto pv = mom_perm_.vals();
-    for (std::size_t i = 0; i < mom_value_map_.size(); ++i) {
-      pv[i] = sv[static_cast<std::size_t>(mom_value_map_[i])];
-    }
-  };
-
-  for (int step = first_step; step < cfg_.steps; ++step) {
-    const double cycles0 = vpu.counters().total_cycles();
-    const double shard_cycles0 = shard_cycles();
-    const double t_next = time_ + phys.dt;
-    StepReport rep;
-    rep.time = t_next;
-
-    // Sync time levels: old ← current, so the assembled residual is the
-    // Picard residual at uⁿ and b = rhs + (K − Mdt)·uⁿ is exactly the
-    // backward-Euler RHS Mdt·uⁿ + F + Ĝᵀpⁿ (see header).
-    for (int n = 0; n < nn; ++n) {
-      for (int d = 0; d < fem::kDim; ++d) {
-        vel_now[static_cast<std::size_t>(n) * fem::kDim +
-                static_cast<std::size_t>(d)] = state_.velocity(n, d);
-      }
-    }
-    state_.push_time_level(vel_now);
-
-    // ---- phases 1–8: semi-implicit assembly of K and the residual rhs --
-    app_.assemble_into(vpu, ar, ch);
-
-    // Scenario Dirichlet data at the solution time t^{n+1}.
-    std::fill(fixed.begin(), fixed.end(), 0);
-    for (int n = 0; n < nn; ++n) {
-      std::array<double, fem::kDim> val;
-      if (scen_.velocity_bc(*mesh_, n, t_next, val)) {
-        fixed[static_cast<std::size_t>(n)] = 1;
-        bc[static_cast<std::size_t>(n)] = val;
-      }
-    }
-    k_bc = ar.matrix;
-    impose_dirichlet_rows(k_bc, fixed);
-    if (cfg_.fault.fires(sim::FaultKind::kZeroDiagonal, step)) {
-      inject_zero_diagonal(k_bc);
-    }
-    k_op.assign(ar.matrix, cfg_.format, slice_c);
-
-    // ---- phase 9: blocked multi-RHS momentum BiCGStab ------------------
-    // The kDim component systems share the operator K, so the RHS block is
-    // formed and solved with the multi-RHS kernels (one value/index slab
-    // load per strip feeding kDim gather streams); blocked_momentum = false
-    // runs the sequential 9a–9c reference on the same column buffers —
-    // bit-identical per component (DESIGN.md §5).
-    {
-      sim::ScopedPhase scope(vpu.profiler(), kSolvePhase);
-      for (int d = 0; d < fem::kDim; ++d) {
-        solver::vpack_strided(vpu, state_.unknowns_data() + d, fem::kDofs,
-                              col(u_blk, d), vs);
-        solver::vpack_strided(vpu, ar.rhs.data() + d, fem::kDim,
-                              col(b_blk, d), vs);
-      }
-      if (cfg_.blocked_momentum) {
-        k_op.apply_multi(vpu, u_blk, tmp_blk, fem::kDim, vs);
-        solver::vaxpy_multi(vpu, ones, tmp_blk, b_blk, fem::kDim, vs);
-        dtmass_op.apply_multi(vpu, u_blk, tmp_blk, fem::kDim, vs);
-        solver::vaxpy_multi(vpu, minus_ones, tmp_blk, b_blk, fem::kDim, vs);
-        for (int n = 0; n < nn; ++n) {  // Dirichlet rows per component (host)
-          if (!fixed[static_cast<std::size_t>(n)]) continue;
-          for (int d = 0; d < fem::kDim; ++d) {
-            b_blk[static_cast<std::size_t>(d) * un +
-                  static_cast<std::size_t>(n)] =
-                bc[static_cast<std::size_t>(n)][static_cast<std::size_t>(d)];
-          }
-        }
-        solver::vcopy_multi(vpu, u_blk, ustar_blk, fem::kDim, vs);
-        std::vector<solver::SolveReport> mreps;
-        if (cfg_.rcm_renumber) {
-          refresh_mom_perm(k_bc);
-          for (int d = 0; d < fem::kDim; ++d) {
-            to_solve_order(ccol(b_blk, d), col(bp_blk, d));
-            to_solve_order(ccol(ustar_blk, d), col(xp_blk, d));
-          }
-          mreps = solver::vbicgstab_multi(vpu, mom_perm_, bp_blk, xp_blk,
-                                          fem::kDim, cfg_.momentum, vs,
-                                          &momentum_ws, cfg_.format);
-          for (int d = 0; d < fem::kDim; ++d) {
-            from_solve_order(ccol(xp_blk, d), col(ustar_blk, d));
-          }
-        } else {
-          mreps = solver::vbicgstab_multi(vpu, k_bc, b_blk, ustar_blk,
-                                          fem::kDim, cfg_.momentum, vs,
-                                          &momentum_ws, cfg_.format);
-        }
-        for (int d = 0; d < fem::kDim; ++d) {
-          rep.momentum[static_cast<std::size_t>(d)] =
-              std::move(mreps[static_cast<std::size_t>(d)]);
-          res.all_converged &=
-              rep.momentum[static_cast<std::size_t>(d)].converged;
-        }
-      } else {
-        if (cfg_.rcm_renumber) refresh_mom_perm(k_bc);
-        for (int d = 0; d < fem::kDim; ++d) {
-          k_op.apply(vpu, ccol(u_blk, d), col(tmp_blk, d), vs);
-          solver::vaxpy(vpu, 1.0, ccol(tmp_blk, d), col(b_blk, d), vs);
-          dtmass_op.apply(vpu, ccol(u_blk, d), col(tmp_blk, d), vs);
-          solver::vaxpy(vpu, -1.0, ccol(tmp_blk, d), col(b_blk, d), vs);
-          for (int n = 0; n < nn; ++n) {  // Dirichlet rows (host)
-            if (fixed[static_cast<std::size_t>(n)]) {
-              b_blk[static_cast<std::size_t>(d) * un +
-                    static_cast<std::size_t>(n)] =
-                  bc[static_cast<std::size_t>(n)]
-                    [static_cast<std::size_t>(d)];
-            }
-          }
-          solver::vcopy(vpu, ccol(u_blk, d), col(ustar_blk, d), vs);
-          if (cfg_.rcm_renumber) {
-            to_solve_order(ccol(b_blk, d), col(bp_blk, d));
-            to_solve_order(ccol(ustar_blk, d), col(xp_blk, d));
-            rep.momentum[static_cast<std::size_t>(d)] = solver::vbicgstab(
-                vpu, mom_perm_, ccol(bp_blk, d), col(xp_blk, d),
-                cfg_.momentum, vs, &momentum_ws, cfg_.format);
-            from_solve_order(ccol(xp_blk, d), col(ustar_blk, d));
-          } else {
-            rep.momentum[static_cast<std::size_t>(d)] = solver::vbicgstab(
-                vpu, k_bc, ccol(b_blk, d), col(ustar_blk, d), cfg_.momentum,
-                vs, &momentum_ws, cfg_.format);
-          }
-          res.all_converged &=
-              rep.momentum[static_cast<std::size_t>(d)].converged;
-        }
-      }
-    }
-
-    // ---- phase 10: pressure-Poisson CG ----------------------------------
-    for (int n = 0; n < nn; ++n) {
-      for (int d = 0; d < fem::kDim; ++d) {
-        vel_now[static_cast<std::size_t>(n) * fem::kDim +
-                static_cast<std::size_t>(d)] =
-            ustar_blk[static_cast<std::size_t>(d) * un +
-                      static_cast<std::size_t>(n)];
-      }
-    }
-    fem::assemble_weak_divergence_into(*mesh_, shape, vel_now, div);
-    if (cfg_.fault.fires(sim::FaultKind::kNanRhs, step)) {
-      // nan-rhs fault: poison the host-assembled divergence, so NaN must
-      // travel the full b_p → solve → correction → diagnostics pipeline.
-      std::fill(div.begin(), div.end(),
-                std::numeric_limits<double>::quiet_NaN());
-    }
-    rep.div_before = divergence_norm(div);
-    {
-      sim::ScopedPhase scope(vpu.profiler(), kPressurePhase);
-      // breakdown fault: a copy of the pressure options with the injection
-      // armed, routed through the legacy vcg — its instrumented failure
-      // exit is the one the sharded path falls back to anyway.
-      const bool inject_breakdown =
-          cfg_.fault.fires(sim::FaultKind::kSolverBreakdown, step);
-      solver::SolveOptions popts_injected;
-      if (inject_breakdown) {
-        popts_injected = cfg_.pressure;
-        popts_injected.inject_breakdown = true;
-      }
-      const solver::SolveOptions& popts =
-          inject_breakdown ? popts_injected : cfg_.pressure;
-      const bool use_sharded = sharded != nullptr && !inject_breakdown;
-      solver::vfill(vpu, b_p, 0.0, vs);
-      solver::vaxpy(vpu, -rho_dt, div, b_p, vs);  // b = −(ρ/Δt)·D u*
-      for (int r : pressure_pins_) b_p[static_cast<std::size_t>(r)] = 0.0;
-      std::fill(phi.begin(), phi.end(), 0.0);
-      if (cfg_.rcm_renumber) {
-        // poisson_ was permuted once at construction; marshal b/φ around it
-        to_solve_order(b_p, bp_p);
-        std::fill(phi_p.begin(), phi_p.end(), 0.0);
-        rep.pressure =
-            use_sharded ? sharded->solve(vpu, bp_p, phi_p, popts)
-                        : solver::vcg(vpu, poisson_, bp_p, phi_p, popts,
-                                      vs, &pressure_ws, cfg_.format);
-        from_solve_order(phi_p, phi);
-      } else {
-        rep.pressure =
-            use_sharded ? sharded->solve(vpu, b_p, phi, popts)
-                        : solver::vcg(vpu, poisson_, b_p, phi, popts, vs,
-                                      &pressure_ws, cfg_.format);
-      }
-      res.all_converged &= rep.pressure.converged;
-    }
-
-    // ---- phase 11: BLAS-1 velocity correction ---------------------------
-    fem::assemble_weak_gradient_into(*mesh_, shape, phi, grad);
-    {
-      sim::ScopedPhase scope(vpu.profiler(), kCorrectionPhase);
-      for (int d = 0; d < fem::kDim; ++d) {
-        solver::vpack_strided(vpu, grad.data() + d, fem::kDim,
-                              col(b_blk, d), vs);
-      }
-      if (cfg_.blocked_momentum) {
-        // M_L⁻¹ Ĝφ for all components, one fused pass per kernel
-        solver::vjacobi_apply_multi(vpu, lumped_inv_, b_blk, tmp_blk,
-                                    fem::kDim, vs);
-        solver::vaxpy_multi(vpu, corr_scale, tmp_blk, ustar_blk, fem::kDim,
-                            vs);
-      } else {
-        for (int d = 0; d < fem::kDim; ++d) {
-          solver::vjacobi_apply(vpu, lumped_inv_, ccol(b_blk, d),
-                                col(tmp_blk, d), vs);  // M_L⁻¹ Ĝφ
-          solver::vaxpy(vpu, -1.0 / rho_dt, ccol(tmp_blk, d),
-                        col(ustar_blk, d), vs);
-        }
-      }
-    }
-
-    // Write uⁿ⁺¹ (with Dirichlet data re-imposed) and pⁿ⁺¹ = pⁿ + φ back
-    // into the state; measure the projected divergence.
-    for (int n = 0; n < nn; ++n) {
-      for (int d = 0; d < fem::kDim; ++d) {
-        vel_now[static_cast<std::size_t>(n) * fem::kDim +
-                static_cast<std::size_t>(d)] =
-            ustar_blk[static_cast<std::size_t>(d) * un +
-                      static_cast<std::size_t>(n)];
-      }
-    }
-    apply_velocity_bc(vel_now, t_next);
-    fem::assemble_weak_divergence_into(*mesh_, shape, vel_now, div);
-    rep.div_after = divergence_norm(div);
-
-    auto unk = state_.unknowns();
-    for (int n = 0; n < nn; ++n) {
-      for (int d = 0; d < fem::kDim; ++d) {
-        unk[static_cast<std::size_t>(n) * fem::kDofs +
-            static_cast<std::size_t>(d)] =
-            vel_now[static_cast<std::size_t>(n) * fem::kDim +
-                    static_cast<std::size_t>(d)];
-      }
-      unk[static_cast<std::size_t>(n) * fem::kDofs + fem::kDim] +=
-          phi[static_cast<std::size_t>(n)];
-    }
-
-    time_ = t_next;
-    rep.cycles = vpu.counters().total_cycles() - cycles0 + shard_cycles() -
-                 shard_cycles0;
-    res.steps.push_back(std::move(rep));
-
-    // Epoch boundary of the checkpoint/restart protocol (DESIGN.md §10):
-    // capture the accumulated state for the sink, then drain the machine —
-    // every hierarchy flushed, canonical first-touch map forgotten — so
-    // the next epoch starts exactly like a restarted process would.  The
-    // final boundary (done == steps) captures without flushing, so a
-    // completed point replays identically under --resume.
-    const int done = step + 1;
-    if (cfg_.checkpoint_every > 0 &&
-        (done % cfg_.checkpoint_every == 0 || done == cfg_.steps)) {
-      if (ckpt_sink_) {
-        TimeLoopCheckpoint c;
-        c.config_hash = ckpt_hash_;
-        c.next_step = done;
-        c.time = time_;
-        c.unknowns.assign(state_.unknowns().begin(),
-                          state_.unknowns().end());
-        c.unknowns_old.assign(state_.unknowns_old().begin(),
-                              state_.unknowns_old().end());
-        c.step_reports = res.steps;
-        c.total_counters = carried_total;
-        c.total_counters += vpu.counters();
-        c.phase_counters.resize(
-            static_cast<std::size_t>(kNumInstrumentedPhases) + 1);
-        for (int p = 0; p <= kNumInstrumentedPhases; ++p) {
-          c.phase_counters[static_cast<std::size_t>(p)] =
-              vpu.profiler().phase(p);
-          if (static_cast<std::size_t>(p) < carried_phase.size()) {
-            c.phase_counters[static_cast<std::size_t>(p)] +=
-                carried_phase[static_cast<std::size_t>(p)];
-          }
-        }
-        if (sharded) {
-          for (int s = 0; s < sharded->shards(); ++s) {
-            const sim::Vpu& sv = sharded->shard_vpu(s);
-            c.total_counters += sv.counters();
-            for (int p = 0; p <= kNumInstrumentedPhases; ++p) {
-              c.phase_counters[static_cast<std::size_t>(p)] +=
-                  sv.profiler().phase(p);
-            }
-          }
-        }
-        c.all_converged = res.all_converged;
-        c.pressure_makespan_cycles =
-            sharded ? carried_makespan + sharded->makespan_cycles()
-                    : c.phase_counters[kPressurePhase].total_cycles();
-        ckpt_sink_(c);
-      }
-      if (done < cfg_.steps && done % cfg_.checkpoint_every == 0) {
-        // Drain the machine INTO the carried base — same aggregation order
-        // as the final totals (coordinator, then shards) — then reset it
-        // outright.  Folding whole-epoch subtotals instead of letting one
-        // accumulator run across epochs keeps the double-typed cycle
-        // counters associating identically in the uninterrupted and the
-        // resumed run, so the restart is bit-identical down to the last
-        // ulp; the reset leaves caches cold and the first-touch map
-        // forgotten, exactly like the restarted process the next epoch
-        // must be indistinguishable from.
-        carried_phase.resize(static_cast<std::size_t>(kNumInstrumentedPhases) +
-                             1);
-        carried_total += vpu.counters();
-        for (int p = 0; p <= kNumInstrumentedPhases; ++p) {
-          carried_phase[static_cast<std::size_t>(p)] +=
-              vpu.profiler().phase(p);
-        }
-        if (sharded) {
-          for (int s = 0; s < sharded->shards(); ++s) {
-            const sim::Vpu& sv = sharded->shard_vpu(s);
-            carried_total += sv.counters();
-            for (int p = 0; p <= kNumInstrumentedPhases; ++p) {
-              carried_phase[static_cast<std::size_t>(p)] +=
-                  sv.profiler().phase(p);
-            }
-          }
-          carried_makespan += sharded->makespan_cycles();
-          sharded->reset();
-        }
-        vpu.reset();
-      }
-    }
+  for (int step = std::exchange(next_step_, 0); step < cfg_.steps; ++step) {
+    const auto [coord0, shards0] = s.machines.clock();
+    s.step = step;
+    s.t_next = time_ + state_.physics().dt;
+    s.rep = StepReport{};
+    s.rep.time = s.t_next;
+    assemble(s);
+    solve_momentum(s);
+    solve_pressure(s);
+    correct_velocity(s);
+    write_back(s);
+    time_ = s.t_next;
+    const auto [coord1, shards1] = s.machines.clock();
+    s.rep.cycles = coord1 - coord0 + shards1 - shards0;
+    for (const auto& m : s.rep.momentum) res.all_converged &= m.converged;
+    res.all_converged &= s.rep.pressure.converged;
+    res.steps.push_back(std::move(s.rep));
+    end_epoch(s, res, step + 1);
   }
 
   // Whole-run totals aggregate ALL Vpus — the coordinator plus every shard
   // — so the conservation invariants (Σ step cycles == run cycles, Σ phase
-  // counters == totals) hold regardless of the shard count.  A resumed run
-  // seeds the totals with the carried pre-restart counters; a fresh run
-  // carries zeros, so the default path is unchanged.
-  res.total = carried_total;
-  res.total += vpu.counters();
-  res.phase.resize(kNumInstrumentedPhases + 1);
-  for (int p = 0; p <= kNumInstrumentedPhases; ++p) {
-    res.phase[p] = vpu.profiler().phase(p);
-    if (static_cast<std::size_t>(p) < carried_phase.size()) {
-      res.phase[p] += carried_phase[static_cast<std::size_t>(p)];
-    }
-  }
-  if (sharded) {
-    for (int s = 0; s < sharded->shards(); ++s) {
-      const sim::Vpu& sv = sharded->shard_vpu(s);
-      res.total += sv.counters();
-      for (int p = 0; p <= kNumInstrumentedPhases; ++p) {
-        res.phase[p] += sv.profiler().phase(p);
-      }
-    }
-  }
+  // counters == totals) hold regardless of the shard count.
+  s.machines.fold_into(res.total, res.phase, res.pressure_makespan_cycles);
   res.cycles = res.total.total_cycles();
-  res.pressure_makespan_cycles =
-      sharded ? carried_makespan + sharded->makespan_cycles()
-              : res.phase[kPressurePhase].total_cycles();
   return res;
 }
 

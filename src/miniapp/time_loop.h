@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "fem/mesh.h"
@@ -190,8 +191,56 @@ class TimeLoop {
                std::uint64_t expected_hash);
 
  private:
-  void apply_velocity_bc(std::vector<double>& vel, double t) const;
+  struct StepContext;   // one run's buffers and per-step state
+  struct MachineGroup;  // coordinator + shard Vpus: the one counter fold
+
+  /// The RCM solve space (cfg.rcm_renumber): the one owner of the
+  /// permutation, the identity without RCM.  The momentum PATTERN is
+  /// constant, so its permuted twin and nnz value map are built once and
+  /// only the values are refreshed per step.
+  class SolveSpace {
+   public:
+    struct Scratch {  ///< solve-order RHS and unknowns of one solve site
+      std::vector<double> b, x;
+    };
+    SolveSpace() = default;
+    explicit SolveSpace(const fem::Mesh& mesh);
+    std::span<const int> perm() const { return perm_; }  ///< index → node
+    /// dst[q] = src[perm[q]] and its inverse, per node-sized column.
+    template <class Src, class Dst>
+    void to_solve_order(const Src& src, Dst&& dst) const;
+    template <class Src, class Dst>
+    void from_solve_order(const Src& src, Dst&& dst) const;
+    /// @p k itself, or P·K·Pᵀ with its values refreshed from @p k.
+    const solver::CsrMatrix& momentum(const solver::CsrMatrix& k);
+    /// fn(b, x) in solve order, marshalled through @p scratch at element
+    /// offset @p at (host-side, uncounted).
+    template <class Solve>
+    auto solve(std::span<const double> b, std::span<double> x,
+               Scratch& scratch, std::size_t at, Solve&& fn) const;
+
+   private:
+    std::size_t node_index(std::size_t i) const;
+
+    std::vector<int> perm_;
+    solver::CsrMatrix mom_perm_;
+    std::vector<std::ptrdiff_t> mom_value_map_;  ///< permuted nnz → K nnz
+  };
+
+  // The step, one phase function each (DESIGN.md §4).
+  void assemble(StepContext& s);          // phases 1–8, Dirichlet data
+  void solve_momentum(StepContext& s);    // phase 9
+  void solve_pressure(StepContext& s);    // phase 10
+  void correct_velocity(StepContext& s);  // phase 11
+  void write_back(StepContext& s);        // uⁿ⁺¹, pⁿ⁺¹, ‖div uⁿ⁺¹‖
+  void end_epoch(StepContext& s, TimeLoopResult& res, int done) const;
   double divergence_norm(const std::vector<double>& div) const;
+
+  /// Builds the sharded pressure context for @p vpu's machine, or null
+  /// when cfg.shards == 1 or the combination falls back to the legacy
+  /// path (scalar machine, non-Jacobi rung, zero operator diagonal).
+  std::unique_ptr<solver::ShardedCg> make_sharded(const sim::Vpu& vpu,
+                                                  int slice) const;
 
   const fem::Mesh* mesh_;
   Scenario scen_;
@@ -206,34 +255,14 @@ class TimeLoop {
   solver::CsrMatrix dtmass_;          ///< dtfac-weighted consistent mass
   std::vector<double> lumped_inv_;    ///< 1 / M_L
   std::vector<int> pressure_pins_;
+  SolveSpace space_;
 
-  // RCM solve-space machinery (empty unless cfg.rcm_renumber).  The
-  // momentum PATTERN is constant across steps, so its permuted twin and
-  // the nnz value map are built once; per step only the values are
-  // refreshed in place (no allocation churn of Vpu-touched buffers — the
-  // determinism requirement of mem/memory_hierarchy.h).
-  std::vector<int> rcm_perm_;               ///< solve index → node
-  solver::CsrMatrix mom_perm_;              ///< P·K·Pᵀ pattern + values
-  std::vector<std::ptrdiff_t> mom_value_map_;  ///< permuted nnz → K nnz
-
-  /// Builds the sharded pressure context for @p vpu's machine, or null
-  /// when cfg.shards == 1 or the combination falls back to the legacy
-  /// path (scalar machine, non-Jacobi rung, zero operator diagonal).
-  std::unique_ptr<solver::ShardedCg> make_sharded(const sim::Vpu& vpu,
-                                                  int slice) const;
-
-  // Checkpoint/restart state (miniapp/checkpoint.h).  The carried_* members
-  // hold the pre-restore accumulation (steps, counters, makespan) and are
-  // consumed by the next run(); they stay empty/zero unless restore() was
-  // called, so the default path aggregates exactly as before.
+  // Checkpoint/restart state (miniapp/checkpoint.h).  restore() sets the
+  // step cursor and the result so far; the next run() continues from them.
   std::uint64_t ckpt_hash_ = 0;
   std::function<void(const TimeLoopCheckpoint&)> ckpt_sink_;
-  int start_step_ = 0;
-  std::vector<StepReport> carried_steps_;
-  sim::Counters carried_total_;
-  std::vector<sim::Counters> carried_phase_;
-  double carried_makespan_ = 0.0;
-  bool carried_converged_ = true;
+  int next_step_ = 0;
+  TimeLoopResult carried_;
 };
 
 }  // namespace vecfd::miniapp

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <type_traits>
 
 #include "miniapp/time_loop.h"
@@ -99,26 +100,50 @@ TEST(TimeLoopConservation, PhaseCountersSumToTotals) {
 TEST(TimeLoopConservation, BothMomentumPathsConserve) {
   // The blocked and the per-component phase-9 paths must both satisfy the
   // conservation invariants (the blocked path reshuffles kernel order and
-  // masks columns — none of that may leak cycles across phase boundaries).
+  // masks columns — none of that may leak cycles across phase boundaries),
+  // in and out of the RCM solve space, on one Vpu and on four pressure
+  // shards, and across the checkpoint epoch drain, which folds every
+  // machine's counters into the carried totals and resets them.
   miniapp::Scenario s = miniapp::scenario_taylor_green();
   s.mesh.nx = s.mesh.ny = s.mesh.nz = 3;
   const fem::Mesh mesh(s.mesh);
   for (const bool blocked : {true, false}) {
-    miniapp::TimeLoopConfig cfg;
-    cfg.steps = 2;
-    cfg.vector_size = 24;
-    cfg.blocked_momentum = blocked;
-    miniapp::TimeLoop loop(mesh, s, cfg);
-    sim::Vpu vpu(platforms::riscv_vec());
-    const auto res = loop.run(vpu);
-    const std::string what =
-        blocked ? "blocked momentum" : "per-component momentum";
-    sim::Counters sum;
-    for (const sim::Counters& c : res.phase) sum += c;
-    expect_counters_equal(sum, res.total, what);
-    double step_sum = 0.0;
-    for (const miniapp::StepReport& st : res.steps) step_sum += st.cycles;
-    EXPECT_NEAR(step_sum, res.cycles, 1e-9 * res.cycles) << what;
+    for (const bool rcm : {false, true}) {
+      for (const int shards : {1, 4}) {
+        for (const int every : {0, 1}) {
+          miniapp::TimeLoopConfig cfg;
+          cfg.steps = 3;
+          cfg.vector_size = 24;
+          cfg.blocked_momentum = blocked;
+          cfg.rcm_renumber = rcm;
+          cfg.shards = shards;
+          cfg.checkpoint_every = every;
+          miniapp::TimeLoop loop(mesh, s, cfg);
+          sim::Vpu vpu(platforms::riscv_vec());
+          const auto res = loop.run(vpu);
+          const std::string what =
+              std::string(blocked ? "blocked" : "per-component") +
+              " momentum, rcm=" + std::to_string(rcm) +
+              ", shards=" + std::to_string(shards) +
+              ", checkpoint_every=" + std::to_string(every);
+          ASSERT_EQ(res.steps.size(), 3u) << what;
+          sim::Counters sum;
+          for (const sim::Counters& c : res.phase) sum += c;
+          expect_counters_equal(sum, res.total, what);
+          double step_sum = 0.0;
+          for (const miniapp::StepReport& st : res.steps) {
+            step_sum += st.cycles;
+          }
+          EXPECT_NEAR(step_sum, res.cycles, 1e-9 * res.cycles) << what;
+          // the four-shard runs really take the sharded pressure path: its
+          // critical path is shorter than the phase-10 work of all Vpus
+          EXPECT_EQ(res.pressure_makespan_cycles <
+                        res.phase[miniapp::kPressurePhase].total_cycles(),
+                    shards > 1)
+              << what;
+        }
+      }
+    }
   }
 }
 
