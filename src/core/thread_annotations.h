@@ -1,8 +1,9 @@
 // vecfd::core — Clang thread-safety annotations and annotated lock types.
 //
 // The concurrency contract of this repo is narrow on purpose: ALL fan-out
-// goes through core::parallel_for_index, and any state shared across its
-// workers is guarded by the annotated types below.  Annotating that small
+// goes through core::parallel_for_index (one persistent worker pool, see
+// core/parallel.h), and any state shared across its participants is
+// guarded by the annotated types below.  Annotating that small
 // surface lets clang's -Wthread-safety analysis (enabled with -Werror in
 // the CI lint job) prove at compile time that every access to
 // VECFD_GUARDED_BY state happens under its capability — turning the
@@ -15,6 +16,7 @@
 // so the annotations are free in every non-clang build.
 #pragma once
 
+#include <condition_variable>
 #include <mutex>
 
 #if defined(__clang__) && defined(__has_attribute)
@@ -57,7 +59,26 @@ class VECFD_CAPABILITY("mutex") Mutex {
   void unlock() VECFD_RELEASE() { mu_.unlock(); }
 
  private:
+  friend class CondVar;
   std::mutex mu_;
+};
+
+/// std::condition_variable over a held core::Mutex.  wait() requires the
+/// capability, releases it while blocked and holds it again on return, so
+/// to the analysis the caller's lock is held throughout.  Callers loop on
+/// their predicate: wake-ups may be spurious.
+class CondVar {
+ public:
+  void wait(Mutex& mu) VECFD_REQUIRES(mu) {
+    std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
+    cv_.wait(lock);
+    lock.release();  // ownership stays with the caller's MutexLock
+  }
+  void notify_one() { cv_.notify_one(); }
+  void notify_all() { cv_.notify_all(); }
+
+ private:
+  std::condition_variable cv_;
 };
 
 /// RAII lock for Mutex, annotated as a scoped capability so the analysis

@@ -650,6 +650,7 @@ TimeLoopResult TimeLoop::run(sim::Vpu& vpu) {
   // counters == totals) hold regardless of the shard count.
   s.machines.fold_into(res.total, res.phase, res.pressure_makespan_cycles);
   res.cycles = res.total.total_cycles();
+  res.effective_shards = s.machines.sharded ? s.machines.sharded->shards() : 1;
   return res;
 }
 

@@ -150,6 +150,11 @@ struct TimeLoopResult {
   /// bench/shard_scaling; cycles/total keep counting ALL work (shard
   /// counters are aggregated in), so conservation still holds.
   double pressure_makespan_cycles = 0.0;
+  /// Shards the phase-10 solve actually ran on: TimeLoopConfig::shards
+  /// when the sharded path ran, 1 when the gate of DESIGN.md §9 fell back
+  /// to the single-Vpu path (scalar machine, non-Jacobi rung, zero operator
+  /// diagonal).  Derived by run(), never checkpointed.
+  int effective_shards = 1;
 };
 
 /// Runs N semi-implicit pressure-projection steps of a Scenario on a

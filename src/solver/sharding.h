@@ -134,7 +134,10 @@ class ShardedCg {
   };
 
   template <class Fn>
-  void for_shards(Fn&& fn);  ///< parallel epoch + makespan sync
+  /// One BSP epoch: a core::parallel_for_index job over the shards (the
+  /// persistent pool's workers or, when all are busy, the caller run it —
+  /// no thread is created here), then the makespan sync.
+  void for_shards(Fn&& fn);
   void sync_epoch();
 
   double fold_sum(sim::Vpu& coord) const;  ///< global-strip-order sadd fold

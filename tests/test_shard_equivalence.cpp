@@ -8,27 +8,35 @@
 //     bitwise (solution, history, iterations, residual), incl. b = 0;
 //   * miniapp::TimeLoop runs at P ∈ {1, 2, 4, 8}: identical fields and
 //     pressure histories, halo counters live iff P > 1 on the kJacobi
-//     vector path, silent legacy fallback (zero halo counters, identical
-//     results) for non-Jacobi rungs and scalar machines;
+//     vector path, legacy fallback (zero halo counters, identical results,
+//     TimeLoopResult::effective_shards == 1) for non-Jacobi rungs and
+//     scalar machines;
 //   * counter conservation with shards: per-step cycle deltas still tile
 //     the run and per-phase counters still sum to the totals — the shard
 //     Vpus' work (incl. the halo counters, which land in phase 10) is
 //     folded into the same accounting as the coordinator's;
 //   * sim::HaloExchange unit semantics: values copied bit-for-bit, the
 //     three halo counters priced on the documented sides;
+//   * the host fan-out: once the worker pool is warm, neither a sharded
+//     solve nor a jobs=4 campaign over sharded points creates a thread,
+//     and that campaign is bit-identical to its jobs=1 twin;
 //   * the shard-aware core::recommend_format overload and the halo-bound
 //     Advisor finding.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <type_traits>
 #include <vector>
 
 #include "core/advisor.h"
+#include "core/campaign.h"
+#include "core/parallel.h"
 #include "fem/mesh.h"
 #include "fem/partition.h"
 #include "fem/projection.h"
 #include "fem/shape.h"
+#include "miniapp/checkpoint.h"
 #include "miniapp/scenarios.h"
 #include "miniapp/time_loop.h"
 #include "platforms/platforms.h"
@@ -214,6 +222,7 @@ TEST(TimeLoopSharding, FieldsAndHistoriesIndependentOfShardCount) {
     EXPECT_GT(r.halo_lines, 0u) << what;
     EXPECT_GT(r.halo_messages, 0u) << what;
     EXPECT_GT(r.makespan, 0.0) << what;
+    EXPECT_EQ(r.res.effective_shards, shards) << what;
     EXPECT_LT(r.makespan, ref.makespan) << what << ": distributing the "
         "pressure solve must shorten its BSP critical path";
   }
@@ -232,7 +241,8 @@ TEST(TimeLoopSharding, ComposesWithRcm) {
 
 TEST(TimeLoopSharding, NonJacobiRungsFallBackToLegacyPath) {
   // The sharded replay covers the kJacobi rung; the higher rungs take the
-  // documented silent fallback — identical results, no halo counters.
+  // documented fallback — identical results, no halo counters, and the
+  // result says the solve ran on one Vpu.
   const sim::MachineConfig machine = platforms::riscv_vec();
   for (const auto kind :
        {solver::PrecondKind::kCheby, solver::PrecondKind::kDeflate}) {
@@ -243,6 +253,7 @@ TEST(TimeLoopSharding, NonJacobiRungsFallBackToLegacyPath) {
     EXPECT_EQ(r.pressure_history, ref.pressure_history) << what;
     EXPECT_EQ(r.halo_lines, 0u) << what;
     EXPECT_EQ(r.halo_messages, 0u) << what;
+    EXPECT_EQ(r.res.effective_shards, 1) << what;
   }
 }
 
@@ -253,6 +264,7 @@ TEST(TimeLoopSharding, ScalarMachineFallsBackToLegacyPath) {
   EXPECT_EQ(r.fields, ref.fields);
   EXPECT_EQ(r.pressure_history, ref.pressure_history);
   EXPECT_EQ(r.halo_lines, 0u);
+  EXPECT_EQ(r.res.effective_shards, 1);
 }
 
 TEST(TimeLoopSharding, CountersStillConserveWithShards) {
@@ -284,6 +296,110 @@ TEST(TimeLoopSharding, CountersStillConserveWithShards) {
     EXPECT_TRUE(st.pressure.failure.empty());
     EXPECT_TRUE(st.pressure.converged);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Host fan-out: the persistent worker pool
+// ---------------------------------------------------------------------------
+
+void expect_counters_identical(const sim::Counters& got,
+                               const sim::Counters& want,
+                               const std::string& what) {
+  sim::Counters::visit_pairs(
+      got, want,
+      [&](const sim::CounterInfo& info, const auto& g, const auto& w) {
+        EXPECT_EQ(g, w) << what << " " << info.name;  // bitwise
+      });
+}
+
+/// {jacobi, cheby} × shards {1, 4} on the cavity, checkpointing every step
+/// into @p dir so the final fields can be read back.
+std::vector<core::CampaignOutcome> run_campaign(const core::Campaign& camp,
+                                                const std::string& dir,
+                                                int jobs) {
+  std::vector<core::CampaignPoint> points;
+  for (const auto kind :
+       {solver::PrecondKind::kJacobi, solver::PrecondKind::kCheby}) {
+    for (const int shards : {1, 4}) {
+      core::CampaignPoint p;
+      p.machine = platforms::riscv_vec();
+      p.vector_size = 64;
+      p.steps = 2;
+      p.precond = kind;
+      p.shards = shards;
+      points.push_back(p);
+    }
+  }
+  std::filesystem::create_directories(dir);
+  core::CampaignFtOptions opts;
+  opts.checkpoint_dir = dir;
+  opts.checkpoint_every = 1;
+  return camp.run_points_ft(points, opts, jobs);
+}
+
+TEST(ShardPool, NoThreadCreatedInsideASolveOrACampaign) {
+  PinnedPoisson sys(4);
+  const sim::MachineConfig machine = platforms::riscv_vec();
+  const int vs = 64;
+  const int quantum = solver::solve_effective_strip(vs, machine);
+  fem::MeshPartition part = fem::partition_mesh(sys.mesh, 4, quantum);
+  solver::ShardedCg scg(std::move(part.plan), sys.a, machine, vs,
+                        miniapp::kPressurePhase);
+  const solver::SolveOptions opts;
+  const auto solve = [&] {
+    sim::Vpu coord(machine);
+    std::vector<double> x(sys.b.size(), 0.0);
+    scg.reset();
+    return scg.solve(coord, sys.b, x, opts);
+  };
+  const solver::SolveReport warm = solve();  // sizes the pool
+  const std::size_t started = core::pool_threads_started();
+
+  // Every BSP epoch of a second solve is a job on the same workers.
+  expect_reports_identical(solve(), warm, "second solve");
+  EXPECT_EQ(core::pool_threads_started(), started) << "second solve";
+
+  // A campaign at jobs=4 nests shard epochs inside busy points: they run
+  // on the pool (inline when every worker is busy), never on new threads,
+  // and the schedule cannot reach any modeled number.
+  const core::Campaign camp({miniapp::scenario_cavity()});
+  const auto tmp = std::filesystem::temp_directory_path();
+  const std::string dir1 = (tmp / "vecfd_shard_pool_jobs1").string();
+  const std::string dir4 = (tmp / "vecfd_shard_pool_jobs4").string();
+  const auto serial = run_campaign(camp, dir1, 1);
+  const auto parallel = run_campaign(camp, dir4, 4);
+  EXPECT_EQ(core::pool_threads_started(), started) << "campaign";
+
+  ASSERT_EQ(serial.size(), parallel.size());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    const miniapp::TimeLoopResult& a = serial[i].run.loop;
+    const miniapp::TimeLoopResult& b = parallel[i].run.loop;
+    const std::string what = "point " + std::to_string(i);
+    ASSERT_EQ(serial[i].final_status, "ok") << what;
+    ASSERT_EQ(parallel[i].final_status, "ok") << what;
+    EXPECT_EQ(a.effective_shards, b.effective_shards) << what;
+    EXPECT_EQ(a.pressure_makespan_cycles, b.pressure_makespan_cycles) << what;
+    ASSERT_EQ(a.steps.size(), b.steps.size()) << what;
+    for (std::size_t k = 0; k < a.steps.size(); ++k) {
+      expect_reports_identical(b.steps[k].pressure, a.steps[k].pressure, what);
+      for (int d = 0; d < fem::kDim; ++d) {
+        expect_reports_identical(b.steps[k].momentum[d],
+                                 a.steps[k].momentum[d], what);
+      }
+    }
+    expect_counters_identical(b.total, a.total, what);
+    ASSERT_EQ(a.phase.size(), b.phase.size()) << what;
+    for (std::size_t p = 0; p < a.phase.size(); ++p) {
+      expect_counters_identical(b.phase[p], a.phase[p],
+                                what + " phase " + std::to_string(p));
+    }
+    const std::string file = "/point_" + std::to_string(i) + ".ckpt";
+    EXPECT_EQ(miniapp::load_checkpoint(dir4 + file).unknowns,
+              miniapp::load_checkpoint(dir1 + file).unknowns)
+        << what;  // bitwise final fields
+  }
+  std::filesystem::remove_all(dir1);
+  std::filesystem::remove_all(dir4);
 }
 
 // ---------------------------------------------------------------------------

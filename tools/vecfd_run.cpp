@@ -367,6 +367,10 @@ void print_campaign_run(const core::CampaignRun& r) {
             << (r.point.shards > 1
                     ? " / shards=" + std::to_string(r.point.shards)
                     : "")
+            << (r.loop.effective_shards != r.point.shards
+                    ? " (fell back: solved on " +
+                          std::to_string(r.loop.effective_shards) + " Vpu)"
+                    : "")
             << " / VECTOR_SIZE=" << r.point.vector_size << " / steps="
             << r.point.steps << '\n';
   std::cout << "  cycles=" << core::fmt(r.total_cycles, 0)
