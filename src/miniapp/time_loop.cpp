@@ -330,8 +330,8 @@ TimeLoop::TimeLoop(const fem::Mesh& mesh, const Scenario& scenario,
 std::unique_ptr<solver::ShardedCg> TimeLoop::make_sharded(const sim::Vpu& vpu,
                                                           int slice) const {
   // Sharding serves the kJacobi rung on vector machines (DESIGN.md §9);
-  // every other combination runs the legacy single-Vpu path, which is the
-  // bit-identical reference anyway.
+  // every other combination runs the same CG recurrence on the single-Vpu
+  // executor (solver::vcg), which is the bit-identical reference anyway.
   if (cfg_.shards <= 1 || !vpu.config().vector_enabled) return nullptr;
   if (cfg_.precond != solver::PrecondKind::kJacobi ||
       !cfg_.pressure.jacobi_precondition) {
@@ -344,8 +344,8 @@ std::unique_ptr<solver::ShardedCg> TimeLoop::make_sharded(const sim::Vpu& vpu,
         std::move(part.plan), poisson_, vpu.config(), cfg_.vector_size,
         kPressurePhase, vpu.profiler().num_phases());
   } catch (const std::runtime_error&) {
-    // Zero operator diagonal: fall back so the legacy path reports the
-    // failure through its instrumented SolveReport exit, bit for bit.
+    // Zero operator diagonal: fall back so vcg reports the failure
+    // through its instrumented SolveReport exit, bit for bit.
     return nullptr;
   }
 }
@@ -507,7 +507,7 @@ void TimeLoop::solve_pressure(StepContext& s) {
   const int vs = cfg_.vector_size;
   sim::ScopedPhase scope(vpu.profiler(), kPressurePhase);
   // breakdown fault: a copy of the pressure options with the injection
-  // armed, routed through the legacy vcg — its instrumented failure
+  // armed, routed through the single-Vpu vcg — its instrumented failure
   // exit is the one the sharded path falls back to anyway.
   const bool inject_breakdown =
       cfg_.fault.fires(sim::FaultKind::kSolverBreakdown, s.step);

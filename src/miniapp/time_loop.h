@@ -242,8 +242,9 @@ class TimeLoop {
   double divergence_norm(const std::vector<double>& div) const;
 
   /// Builds the sharded pressure context for @p vpu's machine, or null
-  /// when cfg.shards == 1 or the combination falls back to the legacy
-  /// path (scalar machine, non-Jacobi rung, zero operator diagonal).
+  /// when cfg.shards == 1 or the combination falls back to the single-Vpu
+  /// vcg executor (scalar machine, non-Jacobi rung, zero operator
+  /// diagonal).
   std::unique_ptr<solver::ShardedCg> make_sharded(const sim::Vpu& vpu,
                                                   int slice) const;
 

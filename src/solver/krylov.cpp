@@ -336,179 +336,4 @@ SolveReport bicgstab(const CsrMatrix& a, std::span<const double> b,
   return checked(rep);
 }
 
-std::vector<SolveReport> bicgstab_multi(const CsrMatrix& a,
-                                        std::span<const double> b,
-                                        std::span<double> x, int k,
-                                        const SolveOptions& opts) {
-  if (k <= 0) {
-    throw std::invalid_argument("bicgstab_multi: k must be positive");
-  }
-  const std::size_t n = static_cast<std::size_t>(a.rows());
-  if (b.size() != n * static_cast<std::size_t>(k) || x.size() != b.size()) {
-    throw std::invalid_argument("bicgstab_multi: dimension mismatch");
-  }
-  require_jacobi_rung(opts, "bicgstab_multi");
-  auto ccol = [n](std::span<const double> blk, int d) {
-    return blk.subspan(static_cast<std::size_t>(d) * n, n);
-  };
-  auto mcol = [n](std::span<double> blk, int d) {
-    return blk.subspan(static_cast<std::size_t>(d) * n, n);
-  };
-
-  std::vector<SolveReport> reps(static_cast<std::size_t>(k));
-  std::vector<char> active(static_cast<std::size_t>(k), 0);
-  std::vector<double> bnorm(static_cast<std::size_t>(k), 0.0);
-  std::vector<double> rho(static_cast<std::size_t>(k), 1.0);
-  std::vector<double> alpha(static_cast<std::size_t>(k), 1.0);
-  std::vector<double> omega(static_cast<std::size_t>(k), 1.0);
-  int remaining = 0;
-
-  std::vector<double> dinv;
-  if (opts.jacobi_precondition) {
-    try {
-      dinv = jacobi_inverse_diagonal(a);
-    } catch (const std::runtime_error& e) {
-      // every non-trivial column fails identically; zero-RHS columns keep
-      // their ordinary exit (they never needed the preconditioner)
-      for (int d = 0; d < k; ++d) {
-        SolveReport& rep = reps[static_cast<std::size_t>(d)];
-        auto xd = mcol(x, d);
-        const double bn = norm2(ccol(b, d));
-        if (bn == 0.0) {
-          std::fill(xd.begin(), xd.end(), 0.0);
-          rep.converged = true;
-          rep.history.push_back(0.0);
-        } else {
-          failure_exit(rep, e.what(), a, ccol(b, d), xd, bn,
-                       opts.rel_tolerance);
-        }
-      }
-      return checked(reps);
-    }
-  }
-
-  const std::size_t cells = n * static_cast<std::size_t>(k);
-  std::vector<double> R(cells, 0.0), R0(cells, 0.0), P(cells, 0.0);
-  std::vector<double> V(cells, 0.0), S(cells, 0.0), T(cells, 0.0);
-  std::vector<double> Phat(cells, 0.0), Shat(cells, 0.0);
-
-  for (int d = 0; d < k; ++d) {
-    const std::size_t ud = static_cast<std::size_t>(d);
-    SolveReport& rep = reps[ud];
-    auto xd = mcol(x, d);
-    bnorm[ud] = norm2(ccol(b, d));
-    if (bnorm[ud] == 0.0) {
-      std::fill(xd.begin(), xd.end(), 0.0);
-      rep.converged = true;
-      rep.history.push_back(0.0);
-      continue;
-    }
-    auto rd = mcol(R, d);
-    a.spmv(xd, rd);
-    const auto bd = ccol(b, d);
-    for (std::size_t i = 0; i < n; ++i) rd[i] = bd[i] - rd[i];
-    const double rel0 = norm2(rd) / bnorm[ud];
-    rep.residual = rel0;
-    rep.history.push_back(rel0);
-    if (rel0 < opts.rel_tolerance) {
-      rep.converged = true;
-      continue;
-    }
-    std::copy(rd.begin(), rd.end(), mcol(R0, d).begin());
-    active[ud] = 1;
-    ++remaining;
-  }
-
-  auto retire = [&](int d) {
-    active[static_cast<std::size_t>(d)] = 0;
-    --remaining;
-  };
-  auto column_breakdown = [&](int d, int it, std::span<const double> res) {
-    breakdown_exit(reps[static_cast<std::size_t>(d)], it, res,
-                   bnorm[static_cast<std::size_t>(d)], opts.rel_tolerance);
-    retire(d);
-  };
-
-  for (int it = 0; it < opts.max_iterations && remaining > 0; ++it) {
-    for (int d = 0; d < k; ++d) {
-      const std::size_t ud = static_cast<std::size_t>(d);
-      if (!active[ud]) continue;
-      SolveReport& rep = reps[ud];
-      auto xd = mcol(x, d);
-      auto rd = mcol(R, d);
-      auto r0d = mcol(R0, d);
-      auto pd = mcol(P, d);
-      auto vd = mcol(V, d);
-      auto sd = mcol(S, d);
-      auto td = mcol(T, d);
-      auto phatd = mcol(Phat, d);
-      auto shatd = mcol(Shat, d);
-
-      double rho_new = dot(r0d, rd);
-      bool restart = it == 0;
-      if (rho_new == 0.0) {
-        // serious breakdown: restart with r0 = r (see bicgstab above)
-        std::copy(rd.begin(), rd.end(), r0d.begin());
-        rho_new = dot(rd, rd);
-        if (rho_new == 0.0) {
-          column_breakdown(d, it, rd);
-          continue;
-        }
-        restart = true;
-      }
-      if (restart) {
-        std::copy(rd.begin(), rd.end(), pd.begin());
-      } else {
-        const double beta = (rho_new / rho[ud]) * (alpha[ud] / omega[ud]);
-        for (std::size_t i = 0; i < n; ++i) {
-          pd[i] = rd[i] + beta * (pd[i] - omega[ud] * vd[i]);
-        }
-      }
-      rho[ud] = rho_new;
-      apply_precond(dinv, pd, phatd);
-      a.spmv(phatd, vd);
-      const double r0v = dot(r0d, vd);
-      if (r0v == 0.0) {
-        column_breakdown(d, it, rd);
-        continue;
-      }
-      alpha[ud] = rho[ud] / r0v;
-      for (std::size_t i = 0; i < n; ++i) sd[i] = rd[i] - alpha[ud] * vd[i];
-      if (norm2(sd) / bnorm[ud] < opts.rel_tolerance) {
-        axpy(alpha[ud], phatd, xd);
-        rep.iterations = it + 1;
-        rep.residual = norm2(sd) / bnorm[ud];
-        rep.history.push_back(rep.residual);
-        rep.converged = true;
-        retire(d);
-        continue;
-      }
-      apply_precond(dinv, sd, shatd);
-      a.spmv(shatd, td);
-      const double tt = dot(td, td);
-      if (tt == 0.0) {
-        axpy(alpha[ud], phatd, xd);  // valid half-step (see bicgstab above)
-        column_breakdown(d, it, sd);
-        continue;
-      }
-      omega[ud] = dot(td, sd) / tt;
-      for (std::size_t i = 0; i < n; ++i) {
-        xd[i] += alpha[ud] * phatd[i] + omega[ud] * shatd[i];
-        rd[i] = sd[i] - omega[ud] * td[i];
-      }
-      const double rel = norm2(rd) / bnorm[ud];
-      rep.history.push_back(rel);
-      rep.iterations = it + 1;
-      rep.residual = rel;
-      if (rel < opts.rel_tolerance) {
-        rep.converged = true;
-        retire(d);
-        continue;
-      }
-      if (omega[ud] == 0.0) retire(d);  // ω breakdown: already reported
-    }
-  }
-  return checked(reps);
-}
-
 }  // namespace vecfd::solver

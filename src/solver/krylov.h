@@ -83,8 +83,8 @@ struct SolveOptions {
 };
 
 /// Reporting contract, honoured on EVERY exit path of every solver in this
-/// library (cg/bicgstab, the instrumented vcg/vbicgstab, and the multi-RHS
-/// bicgstab_multi/vbicgstab_multi per column):
+/// library (cg/bicgstab, the instrumented vcg/ShardedCg/vbicgstab, and the
+/// multi-RHS vbicgstab_multi per column):
 ///
 ///   * `residual` equals the true relative residual ‖b − A·x‖₂ / ‖b‖₂ of
 ///     the returned `x` — a Krylov breakdown (cg: p·Ap = 0; bicgstab:
@@ -134,29 +134,17 @@ SolveReport& checked(SolveReport& rep);
 /// Per-column gate for the multi-RHS producers.
 std::vector<SolveReport>& checked(std::vector<SolveReport>& reps);
 
-/// Conjugate gradients — for symmetric positive-definite systems (e.g. the
-/// pressure Poisson operator or the pure-viscous momentum matrix).
+/// Host conjugate gradients — for symmetric positive-definite systems.  The
+/// uninstrumented reference the instrumented solvers are tested against,
+/// and the deflation rung's coarse solver (preconditioner.cpp).
 SolveReport cg(const CsrMatrix& a, std::span<const double> b,
                std::span<double> x, const SolveOptions& opts = {});
 
-/// BiCGStab — for the nonsymmetric semi-implicit momentum operator
-/// (convection makes it non-self-adjoint).
+/// Host BiCGStab — for the nonsymmetric semi-implicit momentum operator
+/// (convection makes it non-self-adjoint).  The uninstrumented reference
+/// of vbicgstab / vbicgstab_multi (solver/vkernels.h).
 SolveReport bicgstab(const CsrMatrix& a, std::span<const double> b,
                      std::span<double> x, const SolveOptions& opts = {});
-
-/// Multi-RHS BiCGStab: solves A·x_d = b_d for k right-hand sides sharing
-/// one operator.  @p b and @p x hold k node-major columns (column d spans
-/// [d·n, (d+1)·n)); the k recurrences are mathematically independent and
-/// advanced in lockstep, each with its own Krylov scalars and its own
-/// convergence / breakdown lifecycle, so column d returns bit-for-bit the
-/// iterate a standalone `bicgstab(a, b_d, x_d)` would — the host reference
-/// `vbicgstab_multi` (solver/vkernels.h) mirrors step for step.  A column
-/// that converges or breaks down is masked out of all further work.  One
-/// SolveReport per column, each honouring the full contract above.
-std::vector<SolveReport> bicgstab_multi(const CsrMatrix& a,
-                                        std::span<const double> b,
-                                        std::span<double> x, int k,
-                                        const SolveOptions& opts = {});
 
 /// Inverse-diagonal of @p a (the Jacobi preconditioner).
 /// @throws std::runtime_error on a zero diagonal entry.

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "core/parallel.h"
+#include "solver/cg_recurrence.h"
 #include "solver/vkernels.h"
 
 namespace vecfd::solver {
@@ -72,8 +74,8 @@ ShardedCg::ShardedCg(ShardPlan plan, const CsrMatrix& a,
     throw std::invalid_argument("ShardedCg: malformed plan");
   }
   // Global inverse diagonal FIRST: a zero diagonal throws here, before any
-  // shard state exists, so the caller can fall back to the legacy path and
-  // reproduce its instrumented SolveReport::failure exit bit for bit.
+  // shard state exists, so the caller can fall back to the single-Vpu vcg
+  // and reproduce its instrumented SolveReport::failure exit bit for bit.
   const std::vector<double> dinv_global = jacobi_inverse_diagonal(a);
 
   const int line_bytes = machine.memory.l1.line_bytes;
@@ -164,8 +166,11 @@ void ShardedCg::sync_epoch() {
 template <class Fn>
 void ShardedCg::for_shards(Fn&& fn) {
   core::parallel_for_index(
-      shards_.size(), static_cast<int>(shards_.size()),
-      [&](std::size_t p) { fn(static_cast<int>(p)); });
+      shards_.size(), static_cast<int>(shards_.size()), [&](std::size_t p) {
+        Shard& sh = shards_[p];
+        sim::ScopedPhase scope(sh.vpu->profiler(), phase_);
+        fn(sh);
+      });
   sync_epoch();
 }
 
@@ -191,45 +196,38 @@ double ShardedCg::fold_max() const {
   return m;
 }
 
-void ShardedCg::seg_dot_partials(int p, const double* a, const double* bb,
-                                 int n) {
-  Shard& sh = shards_[static_cast<std::size_t>(p)];
+void ShardedCg::seg_dot_partials(Shard& sh, const double* a,
+                                 const double* bb) const {
   sim::Vpu& vpu = *sh.vpu;
-  sim::ScopedPhase scope(vpu.profiler(), phase_);
   sh.partials.clear();
-  for_strips(vpu, n, strip_, [&](int i, int) {
+  for_strips(vpu, sh.rows, strip_, [&](int i, int) {
     const sim::Vec va = vpu.vload(a + i);
     const sim::Vec vb = vpu.vload(bb + i);
     sh.partials.push_back(vpu.vredsum(vpu.vmul(va, vb)));
   });
 }
 
-void ShardedCg::seg_max_partials(int p, const double* a, int n) {
-  Shard& sh = shards_[static_cast<std::size_t>(p)];
+void ShardedCg::seg_max_partials(Shard& sh, const double* a) const {
   sim::Vpu& vpu = *sh.vpu;
-  sim::ScopedPhase scope(vpu.profiler(), phase_);
   sh.partials.clear();
-  for_strips(vpu, n, strip_, [&](int i, int) {
+  for_strips(vpu, sh.rows, strip_, [&](int i, int) {
     sh.partials.push_back(vpu.vredmax(vpu.vabs(vpu.vload(a + i))));
     vpu.sarith(1);  // running-max combine, as in the vnorm2 rescan
   });
 }
 
-void ShardedCg::seg_scaled_partials(int p, const double* a, int n, double m) {
-  Shard& sh = shards_[static_cast<std::size_t>(p)];
+void ShardedCg::seg_scaled_partials(Shard& sh, const double* a,
+                                    double m) const {
   sim::Vpu& vpu = *sh.vpu;
-  sim::ScopedPhase scope(vpu.profiler(), phase_);
   sh.partials.clear();
-  for_strips(vpu, n, strip_, [&](int i, int) {
+  for_strips(vpu, sh.rows, strip_, [&](int i, int) {
     const sim::Vec q = vpu.vdiv(vpu.vload(a + i), vpu.vsplat(m));
     sh.partials.push_back(vpu.vredsum(vpu.vmul(q, q)));
   });
 }
 
-void ShardedCg::seg_spmv(int p, const double* xloc, double* yloc) {
-  Shard& sh = shards_[static_cast<std::size_t>(p)];
+void ShardedCg::seg_spmv(Shard& sh, const double* xloc, double* yloc) const {
   sim::Vpu& vpu = *sh.vpu;
-  sim::ScopedPhase scope(vpu.profiler(), phase_);
   const std::size_t rows = static_cast<std::size_t>(sh.rows);
   for_strips(vpu, sh.rows, strip_, [&](int i, int) {
     sim::Vec acc = vpu.vsplat(0.0);
@@ -246,43 +244,34 @@ void ShardedCg::seg_spmv(int p, const double* xloc, double* yloc) {
   });
 }
 
-template <class Get>
-double ShardedCg::sharded_norm2(sim::Vpu& coord, Get&& get) {
-  for_shards([&](int p) {
-    seg_dot_partials(p, get(p), get(p),
-                     shards_[static_cast<std::size_t>(p)].rows);
+double ShardedCg::sharded_norm2(sim::Vpu& coord, Vec v) {
+  for_shards([&](Shard& sh) {
+    seg_dot_partials(sh, (sh.*v).data(), (sh.*v).data());
   });
   const double s = fold_sum(coord);
   if (s > kNormSumSqMin && s < kNormSumSqMax) {
     return coord.ssqrt(s);
   }
-  for_shards([&](int p) {
-    seg_max_partials(p, get(p), shards_[static_cast<std::size_t>(p)].rows);
-  });
+  for_shards([&](Shard& sh) { seg_max_partials(sh, (sh.*v).data()); });
   const double m = fold_max();
   if (m == 0.0) return 0.0;
   if (std::isinf(m)) return m;
-  for_shards([&](int p) {
-    seg_scaled_partials(p, get(p),
-                        shards_[static_cast<std::size_t>(p)].rows, m);
-  });
+  for_shards([&](Shard& sh) { seg_scaled_partials(sh, (sh.*v).data(), m); });
   const double ssq = fold_sum(coord);
   return coord.smul(m, coord.ssqrt(ssq));
 }
 
-template <class Get, class GetB>
-double ShardedCg::sharded_dot(sim::Vpu& coord, Get&& get_a, GetB&& get_b) {
-  for_shards([&](int p) {
-    seg_dot_partials(p, get_a(p), get_b(p),
-                     shards_[static_cast<std::size_t>(p)].rows);
+double ShardedCg::sharded_dot(sim::Vpu& coord, Vec a, Vec b) {
+  for_shards([&](Shard& sh) {
+    seg_dot_partials(sh, (sh.*a).data(), (sh.*b).data());
   });
   return fold_sum(coord);
 }
 
-void ShardedCg::exchange_into(std::vector<double> Shard::*vec) {
+void ShardedCg::exchange_into(Vec v) {
   for (std::size_t p = 0; p < shards_.size(); ++p) {
     vpu_ptrs_[p] = shards_[p].vpu.get();
-    local_ptrs_[p] = (shards_[p].*vec).data();
+    local_ptrs_[p] = (shards_[p].*v).data();
     vpu_ptrs_[p]->profiler().begin(phase_);
   }
   halo_->exchange(vpu_ptrs_, local_ptrs_);
@@ -290,6 +279,87 @@ void ShardedCg::exchange_into(std::vector<double> Shard::*vec) {
     vpu_ptrs_[p]->profiler().end(phase_);
   }
 }
+
+namespace {
+
+/// The owned prefix of a shard's local (owned + ghost) vector.
+std::span<double> owned(std::vector<double>& v, int rows) {
+  return {v.data(), static_cast<std::size_t>(rows)};
+}
+
+}  // namespace
+
+/// ShardedCg's executor for cg_recurrence: every vector verb is one BSP
+/// epoch over the shard Vpus (ghosts refreshed first where A is applied),
+/// every reduction folds on the coordinator, which also carries the scalar
+/// recurrence.
+struct ShardedCg::Exec {
+  ShardedCg& cg;
+  sim::Vpu& coord;
+  std::span<double> x;
+  double coord0;  ///< coordinator cycles at solve entry
+
+  // The Jacobi inverse diagonal was built — and a zero diagonal rejected —
+  // by the constructor, so nothing here can fail.
+  std::string prepare(const SolveOptions&) { return {}; }
+  sim::Vpu& scalar() { return coord; }
+  double norm2(CgVec v) {
+    return cg.sharded_norm2(coord, v == CgVec::kB ? &Shard::b : &Shard::r);
+  }
+  void zero_x() {
+    cg.for_shards([&](Shard& sh) {
+      vfill(*sh.vpu, owned(sh.x, sh.rows), 0.0, cg.strip_);
+    });
+  }
+  void residual() {
+    cg.exchange_into(&Shard::x);
+    cg.for_shards([&](Shard& sh) {
+      cg.seg_spmv(sh, sh.x.data(), sh.ap.data());
+      vsub(*sh.vpu, sh.b, sh.ap, sh.r, cg.strip_);
+    });
+  }
+  void precond_into_p() {
+    cg.for_shards([&](Shard& sh) {
+      vjacobi_apply(*sh.vpu, sh.dinv, sh.r, sh.z, cg.strip_);
+      vcopy(*sh.vpu, sh.z, owned(sh.p, sh.rows), cg.strip_);
+    });
+  }
+  double dot_rz() { return cg.sharded_dot(coord, &Shard::r, &Shard::z); }
+  double spmv_dot() {
+    cg.exchange_into(&Shard::p);
+    cg.for_shards([&](Shard& sh) {
+      cg.seg_spmv(sh, sh.p.data(), sh.ap.data());
+      cg.seg_dot_partials(sh, sh.p.data(), sh.ap.data());
+    });
+    return cg.fold_sum(coord);
+  }
+  void step(double alpha) {
+    cg.for_shards([&](Shard& sh) {
+      vaxpy(*sh.vpu, alpha, owned(sh.p, sh.rows), owned(sh.x, sh.rows),
+            cg.strip_);
+      vaxpy(*sh.vpu, -alpha, sh.ap, sh.r, cg.strip_);
+    });
+  }
+  void precond() {
+    cg.for_shards([&](Shard& sh) {
+      vjacobi_apply(*sh.vpu, sh.dinv, sh.r, sh.z, cg.strip_);
+    });
+  }
+  void xpby(double beta) {
+    cg.for_shards([&](Shard& sh) {
+      vxpby(*sh.vpu, sh.z, beta, owned(sh.p, sh.rows), cg.strip_);
+    });
+  }
+  SolveReport& finish(SolveReport& rep) {
+    for (std::size_t p = 0; p < cg.shards_.size(); ++p) {
+      const Shard& sh = cg.shards_[p];
+      std::copy(sh.x.begin(), sh.x.begin() + sh.rows,
+                x.begin() + cg.plan_.bounds[p]);
+    }
+    cg.makespan_ += coord.counters().total_cycles() - coord0;
+    return checked(rep);
+  }
+};
 
 SolveReport ShardedCg::solve(sim::Vpu& coord, std::span<const double> b,
                              std::span<double> x, const SolveOptions& opts) {
@@ -301,10 +371,8 @@ SolveReport ShardedCg::solve(sim::Vpu& coord, std::span<const double> b,
       opts.precond.kind != PrecondKind::kJacobi) {
     throw std::invalid_argument(
         "ShardedCg::solve: only the kJacobi rung is sharded (other rungs "
-        "take the legacy single-Vpu path)");
+        "take the single-Vpu vcg executor)");
   }
-  const double coord0 = coord.counters().total_cycles();
-
   // Initial owned-data distribution: host-side marshalling, deliberately
   // uncounted (it is data placement, not halo traffic).
   for (std::size_t p = 0; p < shards_.size(); ++p) {
@@ -313,133 +381,8 @@ SolveReport ShardedCg::solve(sim::Vpu& coord, std::span<const double> b,
     std::copy(b.begin() + base, b.begin() + base + sh.rows, sh.b.begin());
     std::copy(x.begin() + base, x.begin() + base + sh.rows, sh.x.begin());
   }
-  const auto gather_x = [&]() {
-    for (std::size_t p = 0; p < shards_.size(); ++p) {
-      const Shard& sh = shards_[p];
-      std::copy(sh.x.begin(), sh.x.begin() + sh.rows,
-                x.begin() + plan_.bounds[p]);
-    }
-  };
-  const auto owned = [](std::vector<double>& v, int rows) {
-    return std::span<double>(v.data(), static_cast<std::size_t>(rows));
-  };
-  const auto finish = [&](SolveReport& rep) -> SolveReport& {
-    makespan_ += coord.counters().total_cycles() - coord0;
-    return checked(rep);
-  };
-
-  SolveReport rep;
-  const double bnorm =
-      sharded_norm2(coord, [&](int p) {
-        return shards_[static_cast<std::size_t>(p)].b.data();
-      });
-  if (bnorm == 0.0) {
-    for_shards([&](int p) {
-      Shard& sh = shards_[static_cast<std::size_t>(p)];
-      sim::ScopedPhase scope(sh.vpu->profiler(), phase_);
-      vfill(*sh.vpu, owned(sh.x, sh.rows), 0.0, strip_);
-    });
-    gather_x();
-    rep.converged = true;
-    rep.history.push_back(0.0);
-    return finish(rep);
-  }
-
-  // r = b - A x
-  exchange_into(&Shard::x);
-  for_shards([&](int p) {
-    Shard& sh = shards_[static_cast<std::size_t>(p)];
-    seg_spmv(p, sh.x.data(), sh.ap.data());
-    sim::ScopedPhase scope(sh.vpu->profiler(), phase_);
-    vsub(*sh.vpu, sh.b, owned(sh.ap, sh.rows), owned(sh.r, sh.rows), strip_);
-  });
-  const double rel0 = coord.sdiv(
-      sharded_norm2(coord, [&](int p) {
-        return shards_[static_cast<std::size_t>(p)].r.data();
-      }),
-      bnorm);
-  rep.residual = rel0;
-  rep.history.push_back(rel0);
-  if (rel0 < opts.rel_tolerance) {
-    gather_x();
-    rep.converged = true;
-    return finish(rep);
-  }
-
-  for_shards([&](int p) {
-    Shard& sh = shards_[static_cast<std::size_t>(p)];
-    sim::ScopedPhase scope(sh.vpu->profiler(), phase_);
-    vjacobi_apply(*sh.vpu, sh.dinv, sh.r, owned(sh.z, sh.rows), strip_);
-    vcopy(*sh.vpu, sh.z, owned(sh.p, sh.rows), strip_);
-  });
-  double rz = sharded_dot(
-      coord,
-      [&](int p) { return shards_[static_cast<std::size_t>(p)].r.data(); },
-      [&](int p) { return shards_[static_cast<std::size_t>(p)].z.data(); });
-
-  for (int it = 0; it < opts.max_iterations; ++it) {
-    exchange_into(&Shard::p);
-    for_shards([&](int p) {
-      Shard& sh = shards_[static_cast<std::size_t>(p)];
-      seg_spmv(p, sh.p.data(), sh.ap.data());
-      seg_dot_partials(p, sh.p.data(), sh.ap.data(), sh.rows);
-    });
-    const double pap = fold_sum(coord);
-    if (pap == 0.0) {
-      // Breakdown exit, mirroring vbreakdown_exit: the aborted iteration
-      // is counted and the true residual appended.
-      const double rel = coord.sdiv(
-          sharded_norm2(coord, [&](int p) {
-            return shards_[static_cast<std::size_t>(p)].r.data();
-          }),
-          bnorm);
-      rep.iterations = it + 1;
-      rep.residual = rel;
-      rep.history.push_back(rel);
-      if (rel < opts.rel_tolerance) rep.converged = true;
-      gather_x();
-      return finish(rep);
-    }
-    const double alpha = coord.sdiv(rz, pap);
-    for_shards([&](int p) {
-      Shard& sh = shards_[static_cast<std::size_t>(p)];
-      sim::ScopedPhase scope(sh.vpu->profiler(), phase_);
-      vaxpy(*sh.vpu, alpha, owned(sh.p, sh.rows), owned(sh.x, sh.rows),
-            strip_);
-      vaxpy(*sh.vpu, -alpha, sh.ap, owned(sh.r, sh.rows), strip_);
-    });
-    const double rel = coord.sdiv(
-        sharded_norm2(coord, [&](int p) {
-          return shards_[static_cast<std::size_t>(p)].r.data();
-        }),
-        bnorm);
-    rep.history.push_back(rel);
-    rep.iterations = it + 1;
-    rep.residual = rel;
-    if (rel < opts.rel_tolerance) {
-      rep.converged = true;
-      gather_x();
-      return finish(rep);
-    }
-    for_shards([&](int p) {
-      Shard& sh = shards_[static_cast<std::size_t>(p)];
-      sim::ScopedPhase scope(sh.vpu->profiler(), phase_);
-      vjacobi_apply(*sh.vpu, sh.dinv, sh.r, owned(sh.z, sh.rows), strip_);
-    });
-    const double rz_new = sharded_dot(
-        coord,
-        [&](int p) { return shards_[static_cast<std::size_t>(p)].r.data(); },
-        [&](int p) { return shards_[static_cast<std::size_t>(p)].z.data(); });
-    const double beta = coord.sdiv(rz_new, rz);
-    rz = rz_new;
-    for_shards([&](int p) {
-      Shard& sh = shards_[static_cast<std::size_t>(p)];
-      sim::ScopedPhase scope(sh.vpu->profiler(), phase_);
-      vxpby(*sh.vpu, sh.z, beta, owned(sh.p, sh.rows), strip_);
-    });
-  }
-  gather_x();
-  return finish(rep);
+  Exec ex{*this, coord, x, coord.counters().total_cycles()};
+  return cg_recurrence(ex, opts);
 }
 
 }  // namespace vecfd::solver

@@ -3,10 +3,10 @@
 //
 // A ShardPlan carves the solve-ordered index range [0, n) into P
 // contiguous, strip-aligned ownership ranges plus per-shard overlap-1
-// ghost sets; ShardedCg replays the exact vcg recurrence with every
-// vector value distributed across P instrumented Vpus (one memory
-// hierarchy per shard) and ghost refreshes priced through
-// sim::HaloExchange.
+// ghost sets; ShardedCg runs the CG recurrence vcg also runs
+// (solver/cg_recurrence.h) over a sharded executor: every vector value is
+// distributed across P instrumented Vpus (one memory hierarchy per shard)
+// and ghost refreshes are priced through sim::HaloExchange.
 //
 // P-independence contract: the solution field, every residual-history
 // entry and the iteration/convergence outcome are BIT-identical to the
@@ -79,17 +79,17 @@ struct ShardPlan {
 /// strips never straddle shards.
 std::vector<int> strip_bounds(int n, int shards, int quantum);
 
-/// Sharded replay of solver::vcg for the kJacobi rung on vector machines:
-/// P shard Vpus carry the distributed vector work, the coordinator Vpu
-/// carries the reduction folds, HaloExchange refreshes ghosts before each
-/// operator application.  Results are bit-identical to vcg (see header
+/// The sharded executor of the vcg recurrence, for the kJacobi rung on
+/// vector machines: P shard Vpus carry the distributed vector work, the
+/// coordinator Vpu carries the reduction folds, HaloExchange refreshes
+/// ghosts before each operator application.  Results are bit-identical to vcg (see header
 /// comment); counters land on the shard Vpus (aggregate via shard_vpu())
 /// and the coordinator.
 class ShardedCg {
  public:
   /// @throws std::runtime_error on a zero operator diagonal (the caller
-  /// must fall back to the legacy path, which reports the failure through
-  /// its instrumented SolveReport::failure exit).
+  /// must fall back to the single-Vpu vcg, which reports the failure
+  /// through its instrumented SolveReport::failure exit).
   /// @throws std::invalid_argument when the plan's ghost closure does not
   /// cover the matrix pattern or the machine is not a vector machine.
   ShardedCg(ShardPlan plan, const CsrMatrix& a,
@@ -133,28 +133,32 @@ class ShardedCg {
     std::vector<double> partials;     ///< raw per-strip reduction partials
   };
 
+  struct Exec;  ///< cg_recurrence executor (sharding.cpp)
+  using Vec = std::vector<double> Shard::*;
+
+  /// One BSP epoch: fn(shard) with the shard's phase scope open, as a
+  /// core::parallel_for_index job over the shards (the persistent pool's
+  /// workers or, when all are busy, the caller run it — no thread is
+  /// created here), then the makespan sync.
   template <class Fn>
-  /// One BSP epoch: a core::parallel_for_index job over the shards (the
-  /// persistent pool's workers or, when all are busy, the caller run it —
-  /// no thread is created here), then the makespan sync.
   void for_shards(Fn&& fn);
   void sync_epoch();
 
   double fold_sum(sim::Vpu& coord) const;  ///< global-strip-order sadd fold
   double fold_max() const;                 ///< NaN-sticky max fold (host)
 
-  void seg_dot_partials(int p, const double* a, const double* bb, int n);
-  void seg_max_partials(int p, const double* a, int n);
-  void seg_scaled_partials(int p, const double* a, int n, double m);
-  void seg_spmv(int p, const double* xloc, double* yloc);
+  // Owned-row kernels of one shard; reductions leave raw per-strip
+  // partials for the coordinator folds.
+  void seg_dot_partials(Shard& sh, const double* a, const double* bb) const;
+  void seg_max_partials(Shard& sh, const double* a) const;
+  void seg_scaled_partials(Shard& sh, const double* a, double m) const;
+  void seg_spmv(Shard& sh, const double* xloc, double* yloc) const;
 
-  /// Split vnorm2 over a per-shard owned span selected by @p get.
-  template <class Get>
-  double sharded_norm2(sim::Vpu& coord, Get&& get);
-  template <class Get, class GetB>
-  double sharded_dot(sim::Vpu& coord, Get&& get_a, GetB&& get_b);
+  /// vnorm2 / vdot split over the shards' owned slices of @p v.
+  double sharded_norm2(sim::Vpu& coord, Vec v);
+  double sharded_dot(sim::Vpu& coord, Vec a, Vec b);
 
-  void exchange_into(std::vector<double> Shard::*vec);
+  void exchange_into(Vec v);
 
   ShardPlan plan_;
   int strip_ = 1;  ///< effective strip (== plan quantum)

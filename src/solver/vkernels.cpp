@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
+#include "solver/cg_recurrence.h"
 #include "solver/preconditioner.h"
 
 namespace vecfd::solver {
@@ -910,206 +912,96 @@ void bicgstab_p_update_multi(sim::Vpu& vpu, std::span<const double> r,
 
 }  // namespace
 
+namespace {
+
+/// vcg's executor for cg_recurrence: one Vpu, the format-selected operator
+/// mirror and the ladder rung, all over workspace buffers.
+class VpuCgExec {
+ public:
+  VpuCgExec(sim::Vpu& vpu, const CsrMatrix& a, std::span<const double> b,
+            std::span<double> x, int strip, KrylovWorkspace& ws,
+            SpmvFormat format)
+      : vpu_(vpu), a_(a), b_(b), x_(x), strip_(strip), ws_(ws),
+        format_(format) {}
+
+  std::string prepare(const SolveOptions& opts) {
+    ws_.op.assign(a_, format_, mirror_slice_height(strip_, vpu_.config()));
+    for (std::vector<double>* v : {&ws_.r, &ws_.z, &ws_.p, &ws_.q}) {
+      v->assign(b_.size(), 0.0);
+    }
+    // Fault-plan hook (sim/fault_injection.h): fail through the regular
+    // instrumented failure exit, so the report carries the true residual of
+    // the untouched iterate exactly like a genuine breakdown would.
+    if (opts.inject_breakdown) return "injected solver breakdown (fault plan)";
+    // The ladder rung (solver/preconditioner.h).  kJacobi issues no setup
+    // instructions, so that rung's stream is bit-identical to the historic
+    // inline-Jacobi vcg; kCheby's power iterations run here, inside the
+    // caller's phase scope, so eigenvalue estimation is counter-priced.
+    if (!ws_.precond) ws_.precond = std::make_shared<Preconditioner>();
+    try {
+      ws_.precond->setup(vpu_, a_, ws_.op, opts, strip_);
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return {};
+  }
+  sim::Vpu& scalar() { return vpu_; }
+  double norm2(CgVec v) {
+    return vnorm2(vpu_, v == CgVec::kB ? b_ : std::span<const double>(ws_.r),
+                  strip_);
+  }
+  void zero_x() { vfill(vpu_, x_, 0.0, strip_); }
+  void residual() {
+    ws_.op.apply(vpu_, x_, ws_.r, strip_);
+    vsub(vpu_, b_, ws_.r, ws_.r, strip_);
+  }
+  void precond_into_p() {
+    precond();
+    vcopy(vpu_, ws_.z, ws_.p, strip_);
+  }
+  double dot_rz() { return vdot(vpu_, ws_.r, ws_.z, strip_); }
+  double spmv_dot() {
+    ws_.op.apply(vpu_, ws_.p, ws_.q, strip_);
+    return vdot(vpu_, ws_.p, ws_.q, strip_);
+  }
+  void step(double alpha) {
+    vaxpy(vpu_, alpha, ws_.p, x_, strip_);
+    vaxpy(vpu_, -alpha, ws_.q, ws_.r, strip_);
+  }
+  void precond() { ws_.precond->apply(vpu_, ws_.r, ws_.z, strip_); }
+  void xpby(double beta) { vxpby(vpu_, ws_.z, beta, ws_.p, strip_); }
+  SolveReport& finish(SolveReport& rep) { return checked(rep); }
+
+ private:
+  sim::Vpu& vpu_;
+  const CsrMatrix& a_;
+  std::span<const double> b_;
+  std::span<double> x_;
+  int strip_;
+  KrylovWorkspace& ws_;  // q holds A·p
+  SpmvFormat format_;
+};
+
+}  // namespace
+
 SolveReport vcg(sim::Vpu& vpu, const CsrMatrix& a, std::span<const double> b,
                 std::span<double> x, const SolveOptions& opts, int strip,
                 KrylovWorkspace* ws, SpmvFormat format) {
-  const std::size_t n = b.size();
-  if (static_cast<int>(n) != a.rows() || x.size() != n) {
+  if (static_cast<int>(b.size()) != a.rows() || x.size() != b.size()) {
     throw std::invalid_argument("vcg: dimension mismatch");
   }
-  SolveReport rep;
-  const double bnorm = vnorm2(vpu, b, strip);
-  if (bnorm == 0.0) {
-    vfill(vpu, x, 0.0, strip);
-    rep.converged = true;
-    rep.history.push_back(0.0);
-    return checked(rep);
-  }
   KrylovWorkspace local;
-  if (ws == nullptr) ws = &local;
-  ws->op.assign(a, format, mirror_slice_height(strip, vpu.config()));
-  const OperatorMirror& op = ws->op;
-
-  std::vector<double>&r = ws->r, &z = ws->z, &p = ws->p, &ap = ws->q;
-  r.assign(n, 0.0);
-  z.assign(n, 0.0);
-  p.assign(n, 0.0);
-  ap.assign(n, 0.0);
-  // Fault-plan hook (sim/fault_injection.h): fail through the regular
-  // instrumented failure exit, so the report carries the true residual of
-  // the untouched iterate exactly like a genuine breakdown would.
-  if (opts.inject_breakdown) {
-    return checked(vfailure_exit(vpu, rep,
-                                 "injected solver breakdown (fault plan)", op,
-                                 b, x, r, bnorm, opts, strip));
-  }
-  // The ladder rung (solver/preconditioner.h).  kJacobi issues no setup
-  // instructions, so that rung's stream is bit-identical to the historic
-  // inline-Jacobi vcg; kCheby's power iterations run here, inside the
-  // caller's phase scope, so eigenvalue estimation is counter-priced.
-  if (!ws->precond) ws->precond = std::make_shared<Preconditioner>();
-  try {
-    ws->precond->setup(vpu, a, op, opts, strip);
-  } catch (const std::runtime_error& e) {
-    return checked(
-        vfailure_exit(vpu, rep, e.what(), op, b, x, r, bnorm, opts, strip));
-  }
-  op.apply(vpu, x, r, strip);
-  vsub(vpu, b, r, r, strip);
-  const double rel0 = vpu.sdiv(vnorm2(vpu, r, strip), bnorm);
-  rep.residual = rel0;
-  rep.history.push_back(rel0);
-  if (rel0 < opts.rel_tolerance) {
-    rep.converged = true;
-    return checked(rep);
-  }
-  ws->precond->apply(vpu, r, z, strip);
-  vcopy(vpu, z, p, strip);
-  double rz = vdot(vpu, r, z, strip);
-
-  for (int it = 0; it < opts.max_iterations; ++it) {
-    op.apply(vpu, p, ap, strip);
-    const double pap = vdot(vpu, p, ap, strip);
-    if (pap == 0.0) {
-      return checked(vbreakdown_exit(vpu, rep, it, r, bnorm, opts, strip));
-    }
-    const double alpha = vpu.sdiv(rz, pap);
-    vaxpy(vpu, alpha, p, x, strip);
-    vaxpy(vpu, -alpha, ap, r, strip);
-    const double rel = vpu.sdiv(vnorm2(vpu, r, strip), bnorm);
-    rep.history.push_back(rel);
-    rep.iterations = it + 1;
-    rep.residual = rel;
-    if (rel < opts.rel_tolerance) {
-      rep.converged = true;
-      return checked(rep);
-    }
-    ws->precond->apply(vpu, r, z, strip);
-    const double rz_new = vdot(vpu, r, z, strip);
-    const double beta = vpu.sdiv(rz_new, rz);
-    rz = rz_new;
-    vxpby(vpu, z, beta, p, strip);
-  }
-  return checked(rep);
+  VpuCgExec ex(vpu, a, b, x, strip, ws != nullptr ? *ws : local, format);
+  return cg_recurrence(ex, opts);
 }
 
 SolveReport vbicgstab(sim::Vpu& vpu, const CsrMatrix& a,
                       std::span<const double> b, std::span<double> x,
                       const SolveOptions& opts, int strip,
                       KrylovWorkspace* ws, SpmvFormat format) {
-  const std::size_t n = b.size();
-  if (static_cast<int>(n) != a.rows() || x.size() != n) {
-    throw std::invalid_argument("vbicgstab: dimension mismatch");
-  }
-  vrequire_jacobi_rung(opts, "vbicgstab");
-  SolveReport rep;
-  const double bnorm = vnorm2(vpu, b, strip);
-  if (bnorm == 0.0) {
-    vfill(vpu, x, 0.0, strip);
-    rep.converged = true;
-    rep.history.push_back(0.0);
-    return checked(rep);
-  }
-  KrylovWorkspace local;
-  if (ws == nullptr) ws = &local;
-  ws->op.assign(a, format, mirror_slice_height(strip, vpu.config()));
-  const OperatorMirror& op = ws->op;
-
-  std::vector<double>&r = ws->r, &r0 = ws->z, &p = ws->p, &v = ws->q;
-  std::vector<double>&s = ws->s, &t = ws->t, &phat = ws->u, &shat = ws->w;
-  r.assign(n, 0.0);
-  r0.assign(n, 0.0);
-  p.assign(n, 0.0);
-  v.assign(n, 0.0);
-  s.assign(n, 0.0);
-  t.assign(n, 0.0);
-  phat.assign(n, 0.0);
-  shat.assign(n, 0.0);
-  std::vector<double>& dinv = ws->dinv;
-  if (opts.jacobi_precondition) {
-    try {
-      jacobi_inverse_diagonal_into(a, dinv);
-    } catch (const std::runtime_error& e) {
-      return checked(
-          vfailure_exit(vpu, rep, e.what(), op, b, x, r, bnorm, opts, strip));
-    }
-  } else {
-    dinv.clear();
-  }
-  op.apply(vpu, x, r, strip);
-  vsub(vpu, b, r, r, strip);
-  const double rel0 = vpu.sdiv(vnorm2(vpu, r, strip), bnorm);
-  rep.residual = rel0;
-  rep.history.push_back(rel0);
-  if (rel0 < opts.rel_tolerance) {
-    rep.converged = true;
-    return checked(rep);
-  }
-  vcopy(vpu, r, r0, strip);
-  double rho = 1.0;
-  double alpha = 1.0;
-  double omega = 1.0;
-
-  for (int it = 0; it < opts.max_iterations; ++it) {
-    double rho_new = vdot(vpu, r0, r, strip);
-    bool restart = it == 0;
-    if (rho_new == 0.0) {
-      // serious breakdown: restart with r0 = r (see krylov.cpp)
-      vcopy(vpu, r, r0, strip);
-      rho_new = vdot(vpu, r, r, strip);
-      if (rho_new == 0.0) {
-        return checked(vbreakdown_exit(vpu, rep, it, r, bnorm, opts, strip));
-      }
-      restart = true;
-    }
-    if (restart) {
-      vcopy(vpu, r, p, strip);
-    } else {
-      const double beta =
-          vpu.smul(vpu.sdiv(rho_new, rho), vpu.sdiv(alpha, omega));
-      bicgstab_p_update(vpu, r, beta, omega, v, p, strip);
-    }
-    rho = rho_new;
-    vjacobi_apply(vpu, dinv, p, phat, strip);
-    op.apply(vpu, phat, v, strip);
-    const double r0v = vdot(vpu, r0, v, strip);
-    if (r0v == 0.0) {
-      return checked(vbreakdown_exit(vpu, rep, it, r, bnorm, opts, strip));
-    }
-    alpha = vpu.sdiv(rho, r0v);
-    axpby_into(vpu, r, -alpha, v, s, strip);
-    const double srel = vpu.sdiv(vnorm2(vpu, s, strip), bnorm);
-    if (srel < opts.rel_tolerance) {
-      vaxpy(vpu, alpha, phat, x, strip);
-      rep.iterations = it + 1;
-      rep.residual = srel;
-      rep.history.push_back(srel);
-      rep.converged = true;
-      return checked(rep);
-    }
-    vjacobi_apply(vpu, dinv, s, shat, strip);
-    op.apply(vpu, shat, t, strip);
-    const double tt = vdot(vpu, t, t, strip);
-    if (tt == 0.0) {
-      // apply the valid half-step so x matches the reported residual s
-      vaxpy(vpu, alpha, phat, x, strip);
-      return checked(vbreakdown_exit(vpu, rep, it, s, bnorm, opts, strip));
-    }
-    omega = vpu.sdiv(vdot(vpu, t, s, strip), tt);
-    vaxpy(vpu, alpha, phat, x, strip);
-    vaxpy(vpu, omega, shat, x, strip);
-    axpby_into(vpu, s, -omega, t, r, strip);
-    const double rel = vpu.sdiv(vnorm2(vpu, r, strip), bnorm);
-    rep.history.push_back(rel);
-    rep.iterations = it + 1;
-    rep.residual = rel;
-    if (rel < opts.rel_tolerance) {
-      rep.converged = true;
-      return checked(rep);
-    }
-    if (omega == 0.0) break;
-  }
-  return checked(rep);
+  // Every blocked kernel dispatches to its single-column kernel at k = 1,
+  // so this is instruction for instruction the single-RHS solve.
+  return vbicgstab_multi(vpu, a, b, x, 1, opts, strip, ws, format)[0];
 }
 
 std::vector<SolveReport> vbicgstab_multi(sim::Vpu& vpu, const CsrMatrix& a,

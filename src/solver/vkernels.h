@@ -14,9 +14,11 @@
 //     across a strip of rows.  Every instruction runs at the strip's vector
 //     length, so AVL approaches vlmax for large strips.
 //   * The BLAS-1 kernels (dot, norm2, axpy, ...) strip-mine the same way.
-//   * vcg / vbicgstab mirror the host cg / bicgstab step for step
+//   * vcg / vbicgstab follow the host cg / bicgstab step for step
 //     (including the breakdown-reporting contract of krylov.h) and agree
-//     with them to solver tolerance.
+//     with them to solver tolerance.  vcg is the single-Vpu executor of
+//     the shared CG recurrence (solver/cg_recurrence.h) that ShardedCg
+//     also runs; vbicgstab is the k = 1 case of vbicgstab_multi.
 //
 // Every kernel takes a `strip` parameter — the requested software strip
 // length, Alya's VECTOR_SIZE applied to the solve; <= 0 means vlmax.  On a
@@ -301,28 +303,30 @@ struct KrylovWorkspace {
   std::shared_ptr<Preconditioner> precond;
 };
 
+/// CG (any ladder rung) through cg_recurrence on one Vpu.
 SolveReport vcg(sim::Vpu& vpu, const CsrMatrix& a, std::span<const double> b,
                 std::span<double> x, const SolveOptions& opts = {},
                 int strip = 0, KrylovWorkspace* ws = nullptr,
                 SpmvFormat format = SpmvFormat::kEll);
 
+/// BiCGStab (kJacobi or unpreconditioned): vbicgstab_multi with k = 1.
 SolveReport vbicgstab(sim::Vpu& vpu, const CsrMatrix& a,
                       std::span<const double> b, std::span<double> x,
                       const SolveOptions& opts = {}, int strip = 0,
                       KrylovWorkspace* ws = nullptr,
                       SpmvFormat format = SpmvFormat::kEll);
 
-/// Multi-RHS mirror of the host bicgstab_multi (krylov.h), built on the
-/// blocked kernels above: k node-major columns advance in lockstep, the
-/// k Krylov recurrences stay independent (per-column scalars, convergence
-/// and breakdown lifecycle — one SolveReport per column under the full
-/// krylov.h contract), and every ELL slab streamed by the two SpMVs per
-/// iteration is loaded once for all active columns instead of once per
-/// column.  Column d returns bit-for-bit the iterate of a standalone
-/// vbicgstab(a, b_d, x_d) at the same strip — the transient TimeLoop's
-/// phase-9 blocked momentum solve rests on that equivalence.  The
-/// workspace's block buffers size to k·n; as with the single-RHS solvers,
-/// one workspace must serve the whole measurement.
+/// Multi-RHS BiCGStab, built on the blocked kernels above: k node-major
+/// columns advance in lockstep, the k Krylov recurrences stay independent
+/// (per-column scalars, convergence and breakdown lifecycle — one
+/// SolveReport per column under the full krylov.h contract), and every ELL
+/// slab streamed by the two SpMVs per iteration is loaded once for all
+/// active columns instead of once per column.  Column d returns
+/// bit-for-bit the iterate of the single-column solve vbicgstab(a, b_d,
+/// x_d) at the same strip — the transient TimeLoop's phase-9 blocked
+/// momentum solve rests on that equivalence.  The workspace's block
+/// buffers size to k·n; as with the single-RHS solvers, one workspace must
+/// serve the whole measurement.
 std::vector<SolveReport> vbicgstab_multi(sim::Vpu& vpu, const CsrMatrix& a,
                                          std::span<const double> b,
                                          std::span<double> x, int k,

@@ -13,7 +13,6 @@
 #include <sstream>
 #include <string>
 
-#include "sanitizer_support.h"
 
 namespace {
 
@@ -125,7 +124,6 @@ TEST(CliContract, TransientInvalidArgumentsNameTheFlag) {
 }
 
 TEST(CliContract, TransientCampaignCsvIsDeterministicAcrossJobs) {
-  VECFD_SKIP_UNDER_ASAN();
   const fs::path dir = fs::temp_directory_path();
   const fs::path serial = dir / "vecfd_campaign_serial.csv";
   const fs::path parallel = dir / "vecfd_campaign_parallel.csv";
@@ -231,7 +229,6 @@ TEST(CliContract, ResumeRejectsMissingDirAndLeftoverTmp) {
 }
 
 TEST(CliContract, CheckpointThenResumeExitsZero) {
-  VECFD_SKIP_UNDER_ASAN();
   const fs::path dir = fs::temp_directory_path() / "vecfd_cli_ckpt_run";
   fs::remove_all(dir);
   const std::string base = "--steps 2 --mesh 3,3,3 --vs 16 ";
@@ -247,7 +244,6 @@ TEST(CliContract, CheckpointThenResumeExitsZero) {
 }
 
 TEST(CliContract, FaultPlanRunsExitByOutcome) {
-  VECFD_SKIP_UNDER_ASAN();
   const std::string base = "--steps 2 --mesh 3,3,3 --vs 16 ";
   // a completed-but-failed point is still a completed campaign: exit 0
   EXPECT_EQ(exit_code(base + "--fault-plan breakdown@0.0"), 0);
@@ -260,7 +256,6 @@ TEST(CliContract, FaultPlanRunsExitByOutcome) {
 }
 
 TEST(CliContract, ParallelSweepCsvIsByteIdenticalToSerial) {
-  VECFD_SKIP_UNDER_ASAN();
   const fs::path dir = fs::temp_directory_path();
   const fs::path serial = dir / "vecfd_cli_serial.csv";
   const fs::path parallel = dir / "vecfd_cli_parallel.csv";

@@ -3,7 +3,6 @@
 
 #include "core/experiment.h"
 #include "core/report.h"
-#include "sanitizer_support.h"
 
 namespace {
 
@@ -127,7 +126,6 @@ TEST(Experiment, SolveWithoutMatrixThrows) {
 }
 
 TEST(Experiment, SolveSweepIsDeterministicAcrossJobs) {
-  VECFD_SKIP_UNDER_ASAN();
   Fixture& f = fixture();
   const Experiment ex(f.mesh, f.state);
   MiniAppConfig cfg;

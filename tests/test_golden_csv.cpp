@@ -24,9 +24,7 @@
 // `--regen-golden` and commit the rewritten files.
 //
 // This suite links plain GTest (no gtest_main): the custom main owns the
-// --regen-golden flag.  The exact-value comparison is skipped under ASan,
-// whose allocator breaks the 128-byte-aligned deterministic memory model
-// (see sanitizer_support.h); the schema check always runs.
+// --regen-golden flag.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -40,7 +38,6 @@
 #include "core/csv.h"
 #include "platforms/platforms.h"
 #include "sim/fault_injection.h"
-#include "sanitizer_support.h"
 
 namespace {
 
@@ -187,7 +184,6 @@ TEST(GoldenCsv, SchemaIsByteStable) {
 }
 
 TEST(GoldenCsv, ValuesMatchWithinTolerance) {
-  VECFD_SKIP_UNDER_ASAN();
   for (const GoldenCase& c : kCases) {
     SCOPED_TRACE(c.path);
     const auto fresh = lines_of(c.generate());

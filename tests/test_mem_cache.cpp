@@ -1,6 +1,5 @@
 // Unit tests for the cache and memory-hierarchy substrate.
 #include <gtest/gtest.h>
-#include "sanitizer_support.h"
 
 #include <string>
 #include <vector>
@@ -177,7 +176,6 @@ TEST(MemoryHierarchy, CanonicalizationErasesAllocatorPlacement) {
 }
 
 TEST(MemoryHierarchy, GlobalAllocationsAreLineAligned) {
-  VECFD_SKIP_UNDER_ASAN();
   // mem/aligned_new.cpp pins every heap allocation to the largest modelled
   // line size (128 bytes, SX-Aurora); the determinism story depends on it,
   // so fail loudly if the replacement operator new was not linked in.

@@ -1,6 +1,6 @@
 // The multi-RHS block solve contract (solver/vkernels.h, DESIGN.md §5):
-// per-column results of the blocked kernels and of bicgstab_multi /
-// vbicgstab_multi are bit-for-bit those of the single-RHS path, the shared
+// per-column results of the blocked kernels and of vbicgstab_multi are
+// bit-for-bit those of the single-RHS path (k = 1), the shared
 // operator slabs make the blocked SpMV issue fewer unit loads for the same
 // gathers, converged/broken-down columns freeze exactly where a standalone
 // solve would leave them, and the transient TimeLoop produces identical
@@ -183,35 +183,6 @@ TEST(MultiRhsKernels, DimensionMismatchesThrow) {
   std::vector<double> xblk(30, 0.0);
   EXPECT_THROW(solver::vbicgstab_multi(vpu, a, bad, xblk, 3),
                std::invalid_argument);
-  EXPECT_THROW(solver::bicgstab_multi(a, bad, xblk, 3),
-               std::invalid_argument);
-}
-
-TEST(MultiRhsSolvers, HostMultiMatchesHostSinglePerColumn) {
-  std::mt19937 rng(90);
-  const int n = 61;
-  const int k = 3;
-  const CsrMatrix a = random_system(n, 4, /*spd=*/false, rng);
-  const std::vector<double> B = random_block(n, k, 13);
-  const SolveOptions opts{
-      .max_iterations = 300, .rel_tolerance = 1e-11, .precond = {}};
-
-  std::vector<double> X(B.size(), 0.0);
-  const auto reps = solver::bicgstab_multi(a, B, X, k, opts);
-  ASSERT_EQ(reps.size(), 3u);
-  for (int d = 0; d < k; ++d) {
-    const std::vector<double> bd = column(B, n, d);
-    std::vector<double> xd(static_cast<std::size_t>(n), 0.0);
-    const SolveReport ref = solver::bicgstab(a, bd, xd, opts);
-    const SolveReport& got = reps[static_cast<std::size_t>(d)];
-    EXPECT_EQ(got.converged, ref.converged) << d;
-    EXPECT_EQ(got.iterations, ref.iterations) << d;
-    EXPECT_EQ(got.history, ref.history) << d;  // bit-for-bit recurrence
-    for (int i = 0; i < n; ++i) {
-      EXPECT_EQ(X[static_cast<std::size_t>(d) * n + i], xd[i])
-          << "col " << d << " entry " << i;
-    }
-  }
 }
 
 TEST(MultiRhsSolvers, VpuMultiMatchesVpuSinglePerColumnOnAllPlatforms) {

@@ -9,7 +9,6 @@
 
 #include "core/csv.h"
 #include "core/experiment.h"
-#include "sanitizer_support.h"
 
 namespace {
 
@@ -41,7 +40,6 @@ std::string csv_of(const std::vector<Measurement>& ms) {
 constexpr int kSizes[] = {8, 16, 32};
 
 TEST(ParallelSweep, GridMatchesSerialByteForByte) {
-  VECFD_SKIP_UNDER_ASAN();
   Fixture& f = fixture();
   const Experiment ex(f.mesh, f.state);
   MiniAppConfig cfg;
@@ -102,7 +100,6 @@ TEST(ParallelSweep, RunPointsPreservesPointOrder) {
 }
 
 TEST(ParallelSweep, SizeAndLevelSweepsMatchSingleRuns) {
-  VECFD_SKIP_UNDER_ASAN();
   Fixture& f = fixture();
   const Experiment ex(f.mesh, f.state);
   MiniAppConfig cfg;

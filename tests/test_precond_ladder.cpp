@@ -354,6 +354,54 @@ TEST(PrecondLadder, ZeroDiagonalSurfacesAsFailureNotAsAnException) {
   }
 }
 
+TEST(PrecondLadder, CgFailureExitCostsExactlyOneResidualEvaluation) {
+  // vcg's failure exit (a fault-plan injected breakdown, or a rung whose
+  // setup throws on a zero diagonal) is the regular prologue cut short:
+  // ‖b‖, then one residual evaluation — apply, vsub, vnorm2, sdiv — and
+  // not a single instruction more.  Pinned counter by counter against the
+  // same four kernels issued on a fresh Vpu.
+  struct Case {
+    const char* what;
+    CsrMatrix a;
+    bool inject;
+  };
+  const Case cases[] = {
+      {"inject_breakdown", zero_diagonal_system(24, -1), true},
+      {"zero diagonal", zero_diagonal_system(24, 7), false},
+  };
+  const std::vector<double> b = hashed_vector(24, 5);
+  constexpr int kStrip = 8;
+  for (const Case& c : cases) {
+    for (const auto& m : kMachines) {
+      const std::string what = std::string(c.what) + " on " + m.name;
+      SolveOptions opts{.max_iterations = 50, .rel_tolerance = 1e-10,
+                        .precond = {}};
+      opts.inject_breakdown = c.inject;
+      sim::Vpu vpu(m);
+      std::vector<double> x(24, 0.5);
+      const SolveReport rep = solver::vcg(vpu, c.a, b, x, opts, kStrip);
+      EXPECT_FALSE(rep.failure.empty()) << what;
+
+      sim::Vpu ref(m);
+      solver::OperatorMirror op;
+      op.assign(c.a, solver::SpmvFormat::kEll, kStrip);
+      std::vector<double> r(24, 0.0);
+      const double bnorm = solver::vnorm2(ref, b, kStrip);
+      op.apply(ref, x, r, kStrip);
+      solver::vsub(ref, b, r, r, kStrip);
+      const double rel0 = ref.sdiv(solver::vnorm2(ref, r, kStrip), bnorm);
+      EXPECT_EQ(rep.residual, rel0) << what;
+
+      sim::Counters::visit_pairs(
+          vpu.counters(), ref.counters(),
+          [&](const sim::CounterInfo& info, const auto& got,
+              const auto& want) {
+            EXPECT_EQ(got, want) << what << ": " << info.name;
+          });
+    }
+  }
+}
+
 TEST(PrecondLadder, FailureCountSurfacesInCampaignCsv) {
   // The campaign CSV grew `precond` and `solver_failures` columns; a
   // healthy run must report its rung and zero failures.

@@ -14,7 +14,6 @@
 #include "core/campaign.h"
 #include "core/csv.h"
 #include "platforms/platforms.h"
-#include "sanitizer_support.h"
 #include "scenario_support.h"
 
 namespace {
@@ -81,7 +80,6 @@ TEST(TransientCampaign, SolvePhaseAvlIsReportedPerVectorSize) {
 }
 
 TEST(TransientCampaign, ParallelAndSerialRunsAgreeByteForByte) {
-  VECFD_SKIP_UNDER_ASAN();
   auto scens = small_scenarios();
   scens.erase(scens.begin() + 1);  // drop channel: keep the grid light
   const core::Campaign camp(std::move(scens));
