@@ -61,6 +61,25 @@ class Cache {
   /// preserved so a flush mid-measurement stays visible in the statistics).
   void flush();
 
+  /// Hit/miss totals and the LRU clock (the stamp the next full lookup
+  /// hands out, minus one).
+  struct Counts {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t tick = 0;
+  };
+  Counts counts() const { return {hits_, misses_, tick_}; }
+  /// Bulk-advance hits, misses and the LRU clock by @p d without touching
+  /// the tag or stamp arrays.  Steady-state replay (DESIGN.md §9) applies
+  /// one replayed iteration's deltas here: the arrays already hold that
+  /// iteration's LRU fixed point, and only the relative order of stamps is
+  /// ever compared, so the clock need only stay above every stamp.
+  void advance(const Counts& d) {
+    hits_ += d.hits;
+    misses_ += d.misses;
+    tick_ += d.tick;
+  }
+
   const CacheConfig& config() const { return cfg_; }
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }

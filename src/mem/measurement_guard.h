@@ -37,6 +37,8 @@ namespace vecfd::mem::guard {
 
 #ifdef VECFD_MEASUREMENT_GUARD
 
+inline constexpr bool kEnabled = true;
+
 /// Allocator hooks (called by mem/aligned_new.cpp on every heap block).
 void on_allocate(void* p, std::size_t bytes);
 void on_deallocate(void* p);
@@ -54,6 +56,8 @@ void on_line_retouched(const void* hierarchy, std::uintptr_t host_line);
 void on_hierarchy_reset(const void* hierarchy);
 
 #else
+
+inline constexpr bool kEnabled = false;
 
 inline void on_allocate(void*, std::size_t) {}
 inline void on_deallocate(void*) {}

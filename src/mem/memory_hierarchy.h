@@ -82,6 +82,26 @@ class MemoryHierarchy {
     return {3, cfg_.l1_latency + cfg_.l2_latency + cfg_.mem_latency};
   }
 
+  /// Re-touch of @p addr's already-mapped line with no cache access: the
+  /// measurement guard's re-alias check alone, for an access whose cache
+  /// outcome steady-state replay serves from its tape (a no-op outside
+  /// VECFD_MEASUREMENT_GUARD builds).
+  void retouch(std::uintptr_t addr) {
+    guard::on_line_retouched(this, addr & ~line_mask_);
+  }
+
+  /// Both caches' hit/miss totals and LRU clocks (Cache::Counts).
+  struct Counts {
+    Cache::Counts l1;
+    Cache::Counts l2;
+  };
+  Counts counts() const { return {l1_.counts(), l2_.counts()}; }
+  /// Cache::advance on both levels.
+  void advance(const Counts& d) {
+    l1_.advance(d.l1);
+    l2_.advance(d.l2);
+  }
+
   /// Touch every line overlapping [addr, addr + bytes).  Returns the summed
   /// penalty and the count of L1 misses in @p l1_misses_out (optional).
   double touch_range(std::uintptr_t addr, std::size_t bytes,

@@ -24,11 +24,18 @@ inline constexpr int kMaxVl = 256;
 
 class Vec {
  public:
+  /// Tag of the constructor that leaves the lanes unset.
+  struct NoFill {};
+  static constexpr NoFill kNoFill{};
+
   Vec() = default;
   /// @throws std::length_error when @p n exceeds kMaxVl.
   explicit Vec(std::size_t n, double fill = 0.0) : n_(checked_size(n)) {
     std::fill_n(v_, n_, fill);
   }
+  /// @p n lanes with no fill, for an instruction that writes every lane
+  /// before the value is read.  @throws std::length_error as above.
+  Vec(std::size_t n, NoFill) : n_(checked_size(n)) {}
   Vec(const Vec& o) : n_(o.n_) { std::copy_n(o.v_, n_, v_); }
   Vec& operator=(const Vec& o) {
     if (this != &o) {

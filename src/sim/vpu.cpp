@@ -24,6 +24,7 @@ Vpu::Vpu(MachineConfig cfg, int num_phases)
 }
 
 void Vpu::reset() {
+  tape_.settle(mem_);
   total_ = Counters{};
   profiler_.reset();
   mem_.flush();
@@ -50,25 +51,42 @@ double Vpu::commit(const MemTally& t) {
   return t.penalty;
 }
 
-double Vpu::touch_range(const void* p, std::size_t bytes) {
-  const auto addr = reinterpret_cast<std::uintptr_t>(p);
-  if (bytes == 0) return 0.0;
-  const std::size_t line = cfg_.memory.l1.line_bytes;
-  const std::uintptr_t mask = ~(static_cast<std::uintptr_t>(line) - 1);
-  const std::uintptr_t first = addr & mask;
-  const std::uintptr_t last = (addr + bytes - 1) & mask;
+template <MemOp Op>
+MemTally Vpu::live_access(std::uintptr_t base, std::ptrdiff_t arg, int n,
+                          const std::ptrdiff_t* lanes) {
+  const std::uintptr_t mask =
+      static_cast<std::uintptr_t>(cfg_.memory.l1.line_bytes) - 1;
   MemTally t;
-  for (std::uintptr_t a = first;; a += line) {
-    t.touch(mem_, a);
-    if (a == last) break;
+  if constexpr (Op == MemOp::kGather) {
+    gather_lines_.clear();
+    for_each_access<Op>(base, arg, n, lanes, mask, [&](std::uintptr_t a) {
+      t.touch(mem_, a);
+      t.lines += gather_lines_.insert(a & ~mask) ? 1 : 0;
+    });
+  } else {
+    for_each_access<Op>(base, arg, n, lanes, mask,
+                        [&](std::uintptr_t a) { t.touch(mem_, a); });
   }
-  return commit(t);
+  return t;
+}
+
+template <MemOp Op>
+MemTally Vpu::taped_access(const MemRef& m) {
+  MemTally t;
+  if (tape_.replaying() && tape_.replay(m, mem_, t)) return t;
+  t = live_access<Op>(m.base, m.arg, m.n, m.lanes);
+  tape_.record(m, t);
+  return t;
+}
+
+double Vpu::touch_range(const void* p, std::size_t bytes) {
+  return commit(access<MemOp::kUnit>(reinterpret_cast<std::uintptr_t>(p),
+                                     static_cast<std::ptrdiff_t>(bytes)));
 }
 
 double Vpu::touch_scalar(const void* p) {
-  MemTally t;
-  t.touch(mem_, p);
-  return commit(t);
+  return commit(
+      access<MemOp::kScalar>(reinterpret_cast<std::uintptr_t>(p)));
 }
 
 bool Vpu::LineSet::insert(std::uintptr_t line) {
@@ -126,7 +144,7 @@ double Vpu::unit_overlap(int vl) const {
 
 Vec Vpu::vload(const double* p) {
   require_vector("vload");
-  Vec r(vl_);
+  Vec r(vl_, Vec::kNoFill);
   for (int i = 0; i < vl_; ++i) r[i] = p[i];
   double cycles = timing_.vmem_unit_cycles(vl_);
   cycles += unit_overlap(vl_) * touch_range(p, 8u * vl_);
@@ -136,7 +154,7 @@ Vec Vpu::vload(const double* p) {
 
 Vec Vpu::vload_i32(const std::int32_t* p) {
   require_vector("vload_i32");
-  Vec r(vl_);
+  Vec r(vl_, Vec::kNoFill);
   for (int i = 0; i < vl_; ++i) r[i] = static_cast<double>(p[i]);
   double cycles = timing_.vmem_unit_cycles(vl_);
   cycles += unit_overlap(vl_) * touch_range(p, 4u * vl_);
@@ -146,15 +164,12 @@ Vec Vpu::vload_i32(const std::int32_t* p) {
 
 Vec Vpu::vload_strided(const double* p, std::ptrdiff_t stride_elems) {
   require_vector("vload_strided");
-  Vec r(vl_);
-  MemTally t;
-  for (int i = 0; i < vl_; ++i) {
-    const double* q = p + stride_elems * i;
-    r[i] = *q;
-    t.touch(mem_, q);
-  }
+  Vec r(vl_, Vec::kNoFill);
+  for (int i = 0; i < vl_; ++i) r[i] = p[stride_elems * i];
   double cycles = timing_.vmem_strided_cycles(vl_);
-  cycles += cfg_.miss_overlap_strided * commit(t);
+  cycles += cfg_.miss_overlap_strided *
+            commit(access<MemOp::kStrided>(
+                reinterpret_cast<std::uintptr_t>(p), stride_elems, vl_));
   record(InstrKind::kVMemStrided, cycles, vl_);
   return r;
 }
@@ -163,34 +178,27 @@ Vec Vpu::vgather(const double* base, const Vec& idx) {
   require_vector("vgather");
   require_operands(idx, "vgather");
   const int n = idx.size();
-  Vec r(n);
-  const std::uintptr_t mask =
-      ~(static_cast<std::uintptr_t>(cfg_.memory.l1.line_bytes) - 1);
-  MemTally t;
-  gather_lines_.clear();
-  std::uint64_t lines = 0;
+  Vec r(n, Vec::kNoFill);
   std::uint64_t pads = 0;
   for (int i = 0; i < n; ++i) {
     const std::ptrdiff_t k = static_cast<std::ptrdiff_t>(idx[i]);
+    lanes_[static_cast<std::size_t>(i)] = k;
     if (k < 0) {  // masked-off pad lane: +0.0, zero memory traffic
       r[i] = 0.0;
       ++pads;
-      continue;
+    } else {
+      r[i] = base[k];
     }
-    const double* q = base + k;
-    r[i] = *q;
-    t.touch(mem_, q);
-    lines += gather_lines_.insert(reinterpret_cast<std::uintptr_t>(q) & mask)
-                 ? 1
-                 : 0;
   }
+  const MemTally t = access<MemOp::kGather>(
+      reinterpret_cast<std::uintptr_t>(base), 0, n, lanes_.data());
   const double penalty = commit(t);
   const std::uint64_t lanes = static_cast<std::uint64_t>(n) - pads;
   Counters& ph = profiler_.phase(profiler_.current());
   total_.gather_lanes += lanes;
   ph.gather_lanes += lanes;
-  total_.gather_lines_touched += lines;
-  ph.gather_lines_touched += lines;
+  total_.gather_lines_touched += t.lines;
+  ph.gather_lines_touched += t.lines;
   total_.pad_lanes += pads;
   ph.pad_lanes += pads;
   double cycles = timing_.vmem_indexed_cycles(n);
@@ -214,14 +222,11 @@ void Vpu::vstore_strided(double* p, std::ptrdiff_t stride_elems,
   require_vector("vstore_strided");
   require_operands(v, "vstore_strided");
   const int n = v.size();
-  MemTally t;
-  for (int i = 0; i < n; ++i) {
-    double* q = p + stride_elems * i;
-    *q = v[i];
-    t.touch(mem_, q);
-  }
+  for (int i = 0; i < n; ++i) p[stride_elems * i] = v[i];
   double cycles = timing_.vmem_strided_cycles(n);
-  cycles += cfg_.miss_overlap_strided * commit(t);
+  cycles += cfg_.miss_overlap_strided *
+            commit(access<MemOp::kStrided>(
+                reinterpret_cast<std::uintptr_t>(p), stride_elems, n));
   record(InstrKind::kVMemStrided, cycles, n);
 }
 
@@ -232,14 +237,15 @@ void Vpu::vscatter(double* base, const Vec& idx, const Vec& v) {
     throw std::invalid_argument("Vpu::vscatter: index/value length mismatch");
   }
   const int n = v.size();
-  MemTally t;
   for (int i = 0; i < n; ++i) {
-    double* q = base + static_cast<std::ptrdiff_t>(idx[i]);
-    *q = v[i];
-    t.touch(mem_, q);
+    const std::ptrdiff_t k = static_cast<std::ptrdiff_t>(idx[i]);
+    lanes_[static_cast<std::size_t>(i)] = k;
+    base[k] = v[i];
   }
   double cycles = timing_.vmem_indexed_cycles(n);
-  cycles += cfg_.miss_overlap_indexed * commit(t);
+  cycles += cfg_.miss_overlap_indexed *
+            commit(access<MemOp::kScatter>(
+                reinterpret_cast<std::uintptr_t>(base), 0, n, lanes_.data()));
   record(InstrKind::kVMemIndexed, cycles, n);
 }
 

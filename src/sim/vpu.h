@@ -17,11 +17,13 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "mem/memory_hierarchy.h"
 #include "sim/counters.h"
 #include "sim/machine_config.h"
 #include "sim/phase_profiler.h"
+#include "sim/steady_tape.h"
 #include "sim/timing_model.h"
 #include "sim/vec.h"
 
@@ -44,16 +46,31 @@ class Vpu {
   // ---- configuration & state ------------------------------------------
   const MachineConfig& config() const { return cfg_; }
   const TimingModel& timing() const { return timing_; }
-  mem::MemoryHierarchy& memory() { return mem_; }
+  /// Mutable access first settles the steady-state tape (the caller may
+  /// flush or touch the hierarchy): a replayed prefix is re-run, so the
+  /// hierarchy is exactly the live one.  Read-only access does not; inside
+  /// a replayed iteration its cache totals lag until the next mark.
+  mem::MemoryHierarchy& memory() {
+    tape_.settle(mem_);
+    return mem_;
+  }
   const mem::MemoryHierarchy& memory() const { return mem_; }
+  /// The steady-state replay tape (introspection).
+  const SteadyTape& tape() const { return tape_; }
   PhaseProfiler& profiler() { return profiler_; }
   const PhaseProfiler& profiler() const { return profiler_; }
   const Counters& counters() const { return total_; }
 
   void set_observer(InstrObserver* obs) { observer_ = obs; }
 
-  /// Reset counters, phases and caches for an independent measurement.
+  /// Reset counters, phases and caches for an independent measurement
+  /// (the steady-state tape is settled and dropped first).
   void reset();
+
+  /// Top of a Krylov iteration inside a TapeScope: the boundary at which
+  /// the steady-state tape compares, records and replays iterations.
+  /// Issues no instruction; a no-op outside a scope.
+  void mark_iteration() { tape_.mark(mem_); }
 
   /// Wall-clock seconds implied by the accumulated cycles at the modelled
   /// core frequency.
@@ -160,32 +177,30 @@ class Vpu {
  private:
   void record(InstrKind kind, double cycles, int vl_used);
 
-  /// Cache-counter tally of one instruction's line touches.  Lanes are
-  /// 8-byte-aligned doubles (or 4-byte-aligned 32-bit integers) and lines
-  /// are powers of two of at least 8 bytes, so a lane touches exactly one
-  /// line.
-  struct MemTally {
-    double penalty = 0.0;
-    std::uint64_t accesses = 0;
-    std::uint64_t l1_misses = 0;
-    std::uint64_t l2_misses = 0;
+  friend class TapeScope;
 
-    void touch(mem::MemoryHierarchy& m, const void* p) {
-      touch(m, reinterpret_cast<std::uintptr_t>(p));
+  /// The cache outcome of an @p Op memory instruction (MemRef's fields):
+  /// from the steady-state tape when it serves the instruction, otherwise
+  /// from the cache model.
+  template <MemOp Op>
+  MemTally access(std::uintptr_t base, std::ptrdiff_t arg = 0, int n = 0,
+                  const std::ptrdiff_t* lanes = nullptr) {
+    // Outside a solve this branch is all the tape costs; the taped path
+    // stays out of line so the live one is the straight-line code.
+    if (tape_.engaged()) [[unlikely]] {
+      return taped_access<Op>({Op, n, base, arg, lanes});
     }
-    void touch(mem::MemoryHierarchy& m, std::uintptr_t addr) {
-      const mem::AccessResult r = m.access(addr);
-      penalty += r.penalty;
-      ++accesses;
-      l1_misses += r.level > 1 ? 1 : 0;
-      l2_misses += r.level > 2 ? 1 : 0;
-    }
-  };
-
+    return live_access<Op>(base, arg, n, lanes);
+  }
+  template <MemOp Op>
+  MemTally live_access(std::uintptr_t base, std::ptrdiff_t arg, int n,
+                       const std::ptrdiff_t* lanes);
+  template <MemOp Op>
+  [[gnu::noinline]] MemTally taped_access(const MemRef& m);
   /// Add @p t to the totals and the open phase; returns its penalty.
   double commit(const MemTally& t);
-  /// Touch whole lines of [addr, addr+bytes); returns cycle penalty and
-  /// updates cache counters.
+  /// Touch whole lines of [p, p + bytes); returns the cycle penalty and
+  /// updates the cache counters.
   double touch_range(const void* p, std::size_t bytes);
   /// Touch the single line of one scalar element; as touch_range.
   double touch_scalar(const void* p);
@@ -223,9 +238,37 @@ class Vpu {
   Counters total_;
   InstrObserver* observer_ = nullptr;
   int vl_ = 0;
+  SteadyTape tape_;  // its state is read by every memory instruction
   /// Distinct-line count of vgather (host-side only; never touched by the
   /// simulated memory hierarchy).
   LineSet gather_lines_;
+  /// Lane offsets of the current gather/scatter (its MemRef::lanes).
+  std::array<std::ptrdiff_t, kMaxVl> lanes_{};
+};
+
+/// RAII scope of one Krylov solve's steady-state replay (DESIGN.md §9):
+/// opens the memory-outcome tape of each Vpu; on every exit, normal or by
+/// exception, closes it, re-running any replayed prefix through the cache
+/// model.  The solve calls Vpu::mark_iteration at the top of each
+/// iteration.
+class TapeScope {
+ public:
+  explicit TapeScope(Vpu& vpu) : one_(&vpu), vpus_(&one_, 1) { open(); }
+  /// One scope over several Vpus (the shards of a sharded solve).
+  explicit TapeScope(std::span<Vpu* const> vpus) : vpus_(vpus) { open(); }
+  ~TapeScope() {
+    for (Vpu* v : vpus_) v->tape_.close(v->mem_);
+  }
+  TapeScope(const TapeScope&) = delete;
+  TapeScope& operator=(const TapeScope&) = delete;
+
+ private:
+  void open() {
+    for (Vpu* v : vpus_) v->tape_.open();
+  }
+
+  Vpu* one_ = nullptr;
+  std::span<Vpu* const> vpus_;
 };
 
 }  // namespace vecfd::sim

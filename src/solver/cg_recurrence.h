@@ -17,6 +17,9 @@
 //   std::string prepare(opts)  host setup + preconditioner setup, issued
 //                              after the b = 0 exit; a non-empty return
 //                              names why the solve cannot run
+//   void mark()                top of an iteration: the steady-state
+//                              replay mark of every Vpu that carries
+//                              vectors (no instruction)
 //   sim::Vpu& scalar()         the Vpu charged for the scalar divides
 //                              (the coordinator when sharded)
 //   double norm2(CgVec)        ‖b‖₂ or ‖r‖₂ (vnorm2 branching)
@@ -70,6 +73,7 @@ SolveReport cg_recurrence(Exec& ex, const SolveOptions& opts) {
   double rz = ex.dot_rz();
 
   for (int it = 0; it < opts.max_iterations; ++it) {
+    ex.mark();
     const double pap = ex.spmv_dot();
     if (pap == 0.0) {
       // Breakdown: the aborted iteration is counted and the true residual

@@ -141,7 +141,7 @@ ShardedCg::ShardedCg(ShardPlan plan, const CsrMatrix& a,
     }
   }
   halo_ = std::make_unique<sim::HaloExchange>(std::move(blocks), line_bytes);
-  vpu_ptrs_.assign(static_cast<std::size_t>(plan_.shards), nullptr);
+  for (const Shard& sh : shards_) vpu_ptrs_.push_back(sh.vpu.get());
   local_ptrs_.assign(static_cast<std::size_t>(plan_.shards), nullptr);
   epoch_last_.assign(static_cast<std::size_t>(plan_.shards), 0.0);
 }
@@ -270,7 +270,6 @@ double ShardedCg::sharded_dot(sim::Vpu& coord, Vec a, Vec b) {
 
 void ShardedCg::exchange_into(Vec v) {
   for (std::size_t p = 0; p < shards_.size(); ++p) {
-    vpu_ptrs_[p] = shards_[p].vpu.get();
     local_ptrs_[p] = (shards_[p].*v).data();
     vpu_ptrs_[p]->profiler().begin(phase_);
   }
@@ -303,6 +302,10 @@ struct ShardedCg::Exec {
   // by the constructor, so nothing here can fail.
   std::string prepare(const SolveOptions&) { return {}; }
   sim::Vpu& scalar() { return coord; }
+  // The coordinator issues no memory instruction: only the shards tape.
+  void mark() {
+    for (Shard& sh : cg.shards_) sh.vpu->mark_iteration();
+  }
   double norm2(CgVec v) {
     return cg.sharded_norm2(coord, v == CgVec::kB ? &Shard::b : &Shard::r);
   }
@@ -382,6 +385,7 @@ SolveReport ShardedCg::solve(sim::Vpu& coord, std::span<const double> b,
     std::copy(x.begin() + base, x.begin() + base + sh.rows, sh.x.begin());
   }
   Exec ex{*this, coord, x, coord.counters().total_cycles()};
+  const sim::TapeScope tapes(vpu_ptrs_);
   return cg_recurrence(ex, opts);
 }
 

@@ -165,7 +165,8 @@ class ShardedCg {
   int phase_ = 0;
   std::vector<Shard> shards_;
   std::unique_ptr<sim::HaloExchange> halo_;
-  // Scratch pointer tables for HaloExchange calls, sized once in the
+  // The shard Vpus (HaloExchange calls, the solve's TapeScope) and a
+  // scratch table of their local vectors, both sized once in the
   // constructor so exchanges never allocate mid-measurement.
   std::vector<sim::Vpu*> vpu_ptrs_;
   std::vector<double*> local_ptrs_;

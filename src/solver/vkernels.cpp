@@ -946,6 +946,7 @@ class VpuCgExec {
     return {};
   }
   sim::Vpu& scalar() { return vpu_; }
+  void mark() { vpu_.mark_iteration(); }
   double norm2(CgVec v) {
     return vnorm2(vpu_, v == CgVec::kB ? b_ : std::span<const double>(ws_.r),
                   strip_);
@@ -992,6 +993,7 @@ SolveReport vcg(sim::Vpu& vpu, const CsrMatrix& a, std::span<const double> b,
   }
   KrylovWorkspace local;
   VpuCgExec ex(vpu, a, b, x, strip, ws != nullptr ? *ws : local, format);
+  const sim::TapeScope tape(vpu);
   return cg_recurrence(ex, opts);
 }
 
@@ -1042,6 +1044,7 @@ std::vector<SolveReport> vbicgstab_multi(sim::Vpu& vpu, const CsrMatrix& a,
   std::vector<double> beta(uk, 0.0), negscale(uk, 0.0);
   int remaining = 0;
 
+  const sim::TapeScope tape(vpu);
   for (int d = 0; d < k; ++d) {
     bnorm[static_cast<std::size_t>(d)] = vnorm2(vpu, bcol(d), strip);
     if (bnorm[static_cast<std::size_t>(d)] == 0.0) {
@@ -1117,6 +1120,7 @@ std::vector<SolveReport> vbicgstab_multi(sim::Vpu& vpu, const CsrMatrix& a,
   };
 
   for (int it = 0; it < opts.max_iterations && remaining > 0; ++it) {
+    vpu.mark_iteration();
     vdot_multi(vpu, R0, R, k, scal, strip, active);  // per-column ρ
     for (int d = 0; d < k; ++d) {
       const std::size_t ud = static_cast<std::size_t>(d);

@@ -11,7 +11,10 @@
 //   * RCM renumbering round-trips: permute → SpMV → inverse-permute is
 //     EXACT, permute → solve → inverse-permute matches the unpermuted
 //     solve to solver tolerance, and the RCM TimeLoop converges to the
-//     same fields.
+//     same fields;
+//   * every configuration is run through the steady-state replay oracle
+//     (replay_oracle.h): replay off and on give equal counters and equal
+//     L1/L2 hit/miss totals.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -23,6 +26,7 @@
 #include "fem/mesh.h"
 #include "miniapp/time_loop.h"
 #include "platforms/platforms.h"
+#include "replay_oracle.h"
 #include "scenario_support.h"
 #include "sim/vpu.h"
 #include "solver/krylov.h"
@@ -107,6 +111,7 @@ void expect_bitwise_equal(const std::vector<double>& got,
 
 TEST(FormatEquivalence, KrylovHistoriesBitIdenticalAcrossFormats) {
   std::mt19937 rng(4242);
+  std::uint64_t replayed = 0;
   for (int trial = 0; trial < 3; ++trial) {
     const int n = 41 + 19 * trial;  // odd sizes: remainder strips
     const CsrMatrix spd = random_system(n, 3, /*spd=*/true, rng);
@@ -126,18 +131,21 @@ TEST(FormatEquivalence, KrylovHistoriesBitIdenticalAcrossFormats) {
         // the second solve re-alias its canonical lines — the exact churn
         // the VECFD_MEASUREMENT_GUARD build aborts on (numerics would be
         // fine; the second solve's counters would not be).
-        std::vector<double> xcg(static_cast<std::size_t>(n), 0.0);
-        SolveReport cg_rep;
-        {
-          sim::Vpu vpu(m);
-          cg_rep = solver::vcg(vpu, spd, b, xcg, opts, 48, nullptr, fmt);
-        }
-        std::vector<double> xbi(static_cast<std::size_t>(n), 0.0);
-        SolveReport bi_rep;
-        {
-          sim::Vpu vpu(m);
-          bi_rep = solver::vbicgstab(vpu, gen, b, xbi, opts, 48, nullptr, fmt);
-        }
+        const std::size_t un = static_cast<std::size_t>(n);
+        std::vector<double> xcg;
+        const SolveReport cg_rep = testsupport::replay_checked_solve(
+            "vcg " + what, m, xcg, un,
+            [&](sim::Vpu& vpu, std::vector<double>& x) {
+              return solver::vcg(vpu, spd, b, x, opts, 48, nullptr, fmt);
+            },
+            &replayed);
+        std::vector<double> xbi;
+        const SolveReport bi_rep = testsupport::replay_checked_solve(
+            "vbicgstab " + what, m, xbi, un,
+            [&](sim::Vpu& vpu, std::vector<double>& x) {
+              return solver::vbicgstab(vpu, gen, b, x, opts, 48, nullptr, fmt);
+            },
+            &replayed);
         EXPECT_TRUE(cg_rep.converged) << what;
         EXPECT_TRUE(bi_rep.converged) << what;
         if (fmt == SpmvFormat::kCsrHost) {
@@ -154,6 +162,7 @@ TEST(FormatEquivalence, KrylovHistoriesBitIdenticalAcrossFormats) {
       }
     }
   }
+  EXPECT_GT(replayed, 0u);  // the oracle saw the tape serve instructions
 }
 
 TEST(FormatEquivalence, MultiRhsColumnsBitIdenticalAcrossFormats) {
@@ -167,17 +176,22 @@ TEST(FormatEquivalence, MultiRhsColumnsBitIdenticalAcrossFormats) {
   }
   const SolveOptions opts{
       .max_iterations = 300, .rel_tolerance = 1e-11, .precond = {}};
+  std::uint64_t replayed = 0;
   for (const auto& m : kMachines) {
     std::vector<SolveReport> ref;
     std::vector<double> xref;
     for (const SpmvFormat fmt : kFormats) {
-      sim::Vpu vpu(m);
-      std::vector<double> X(static_cast<std::size_t>(n) * k, 0.0);
-      const auto reps =
-          solver::vbicgstab_multi(vpu, a, B, X, k, opts, 32, nullptr, fmt);
       const std::string what =
           std::string("multi ") + std::string(to_string(fmt)) + " on " +
           m.name;
+      std::vector<double> X;
+      const auto reps = testsupport::replay_checked_solve(
+          what, m, X, static_cast<std::size_t>(n) * k,
+          [&](sim::Vpu& vpu, std::vector<double>& x) {
+            return solver::vbicgstab_multi(vpu, a, B, x, k, opts, 32, nullptr,
+                                           fmt);
+          },
+          &replayed);
       if (fmt == SpmvFormat::kCsrHost) {
         ref = reps;
         xref = X;
@@ -192,6 +206,7 @@ TEST(FormatEquivalence, MultiRhsColumnsBitIdenticalAcrossFormats) {
       expect_bitwise_equal(X, xref, what + " X");
     }
   }
+  EXPECT_GT(replayed, 0u);
 }
 
 TEST(FormatEquivalence, BreakdownAndEdgeExitsBitIdenticalAcrossFormats) {
@@ -223,29 +238,30 @@ TEST(FormatEquivalence, BreakdownAndEdgeExitsBitIdenticalAcrossFormats) {
       // a shared Vpu would let each solve re-alias the previous solve's
       // freed workspace lines — the churn the measurement-guard build
       // aborts on.
-      std::vector<double> x1(2, 0.0);
-      SolveReport broke;
-      {
-        sim::Vpu vpu(m);
-        broke = solver::vcg(vpu, ind, b2, x1, {}, 2, nullptr, fmt);
-      }
+      const std::size_t un = static_cast<std::size_t>(n);
+      std::vector<double> x1;
+      const SolveReport broke = testsupport::replay_checked_solve(
+          "breakdown " + what, m, x1, 2,
+          [&](sim::Vpu& vpu, std::vector<double>& x) {
+            return solver::vcg(vpu, ind, b2, x, {}, 2, nullptr, fmt);
+          });
       EXPECT_FALSE(broke.converged) << what;
-      std::vector<double> x2(static_cast<std::size_t>(n), 0.0);
-      SolveReport budget;
-      {
-        sim::Vpu vpu(m);
-        budget = solver::vcg(
-            vpu, spd, b, x2,
-            {.max_iterations = 2, .rel_tolerance = 1e-30, .precond = {}},
-            16, nullptr, fmt);
-      }
+      std::vector<double> x2;
+      const SolveReport budget = testsupport::replay_checked_solve(
+          "budget " + what, m, x2, un,
+          [&](sim::Vpu& vpu, std::vector<double>& x) {
+            return solver::vcg(
+                vpu, spd, b, x,
+                {.max_iterations = 2, .rel_tolerance = 1e-30, .precond = {}},
+                16, nullptr, fmt);
+          });
       EXPECT_FALSE(budget.converged) << what;
-      std::vector<double> x3(static_cast<std::size_t>(n), 0.0);
-      SolveReport under;
-      {
-        sim::Vpu vpu(m);
-        under = solver::vcg(vpu, diag, tiny, x3, {}, 16, nullptr, fmt);
-      }
+      std::vector<double> x3;
+      const SolveReport under = testsupport::replay_checked_solve(
+          "underflow " + what, m, x3, un,
+          [&](sim::Vpu& vpu, std::vector<double>& x) {
+            return solver::vcg(vpu, diag, tiny, x, {}, 16, nullptr, fmt);
+          });
       EXPECT_FALSE(under.converged) << what;
       if (!have_ref) {
         ref = {broke, budget, under};
@@ -265,6 +281,7 @@ TEST(FormatEquivalence, TimeLoopFieldsBitIdenticalAcrossFormats) {
   // the operator storage format.
   auto scens = testsupport::small_scenarios();
   for (auto& s : scens) s.mesh.nx = s.mesh.ny = s.mesh.nz = 3;
+  std::uint64_t replayed = 0;
   for (const auto& scen : scens) {
     const fem::Mesh mesh(scen.mesh);
     for (const auto& m : kMachines) {
@@ -276,15 +293,13 @@ TEST(FormatEquivalence, TimeLoopFieldsBitIdenticalAcrossFormats) {
         cfg.steps = 2;
         cfg.vector_size = 32;
         cfg.format = fmt;
-        miniapp::TimeLoop loop(mesh, scen, cfg);
-        sim::Vpu vpu(m);
-        const auto res = loop.run(vpu);
         const std::string what = scen.name + " " +
                                  std::string(to_string(fmt)) + " on " +
                                  m.name;
+        std::vector<double> u;
+        const auto res = testsupport::replay_checked_loop(what, mesh, scen,
+                                                          cfg, m, &u, &replayed);
         EXPECT_TRUE(res.all_converged) << what;
-        const auto& unk = loop.state().unknowns();
-        const std::vector<double> u(unk.begin(), unk.end());
         if (!have_ref) {
           ref = res;
           uref = u;
@@ -311,6 +326,7 @@ TEST(FormatEquivalence, TimeLoopFieldsBitIdenticalAcrossFormats) {
       }
     }
   }
+  EXPECT_GT(replayed, 0u);
 }
 
 TEST(RcmRoundTrip, SpmvIsExactAndSolveMatchesToTolerance) {
@@ -366,10 +382,13 @@ TEST(RcmRoundTrip, SpmvIsExactAndSolveMatchesToTolerance) {
         b[static_cast<std::size_t>(perm[static_cast<std::size_t>(q)])];
   }
   for (const auto& m : kMachines) {
-    sim::Vpu vpu(m);
-    std::vector<double> xq(static_cast<std::size_t>(n), 0.0);
-    const SolveReport rep = solver::vcg(vpu, ap, bp, xq, opts, 32, nullptr,
-                                        SpmvFormat::kSell);
+    std::vector<double> xq;
+    const SolveReport rep = testsupport::replay_checked_solve(
+        "rcm " + m.name, m, xq, static_cast<std::size_t>(n),
+        [&](sim::Vpu& vpu, std::vector<double>& xs) {
+          return solver::vcg(vpu, ap, bp, xs, opts, 32, nullptr,
+                             SpmvFormat::kSell);
+        });
     ASSERT_TRUE(rep.converged) << m.name;
     for (int q = 0; q < n; ++q) {
       EXPECT_NEAR(xq[static_cast<std::size_t>(q)],
@@ -393,11 +412,10 @@ TEST(RcmRoundTrip, TimeLoopWithRcmMatchesPlainFieldsToSolverTolerance) {
     cfg.vector_size = 32;
     cfg.format = SpmvFormat::kSell;
     cfg.rcm_renumber = rcm;
-    miniapp::TimeLoop loop(mesh, scen, cfg);
-    sim::Vpu vpu(platforms::riscv_vec());
-    const auto res = loop.run(vpu);
+    std::vector<double> unk;
+    const auto res = testsupport::replay_checked_loop(
+        rcm ? "rcm" : "plain", mesh, scen, cfg, platforms::riscv_vec(), &unk);
     EXPECT_TRUE(res.all_converged) << (rcm ? "rcm" : "plain");
-    const auto& unk = loop.state().unknowns();
     if (!rcm) {
       u_plain.assign(unk.begin(), unk.end());
       continue;

@@ -15,7 +15,10 @@
 //     host-side setup charges nothing (phase 0 stays empty), i.e. the
 //     instrumented preconditioner setup/apply work lands in phase 10;
 //   * structured_aggregates is dense, non-empty, bounded and
-//     numbering-robust, and malformed aggregates are rejected loudly.
+//     numbering-robust, and malformed aggregates are rejected loudly;
+//   * every solve and transient configuration runs through the
+//     steady-state replay oracle (replay_oracle.h): replay off and on give
+//     equal counters and equal L1/L2 hit/miss totals.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,6 +36,7 @@
 #include "fem/shape.h"
 #include "miniapp/time_loop.h"
 #include "platforms/platforms.h"
+#include "replay_oracle.h"
 #include "solver/krylov.h"
 #include "solver/preconditioner.h"
 #include "solver/vkernels.h"
@@ -179,6 +183,7 @@ TEST(PrecondLadder, RungsOrderMonotonicallyUnderRefinement) {
   // property bench/precond_ladder quantifies on the finest mesh).
   int prev_jacobi = 0;
   int prev_deflate = 0;
+  std::uint64_t replayed = 0;
   for (const int nref : {6, 8}) {
     const fem::Mesh mesh(
         fem::MeshConfig{.nx = nref, .ny = nref, .nz = nref});
@@ -189,9 +194,14 @@ TEST(PrecondLadder, RungsOrderMonotonicallyUnderRefinement) {
     int iters[3] = {0, 0, 0};
     for (int k = 0; k < 3; ++k) {
       const SolveOptions opts = rung_options(kRungs[k], mesh);
-      sim::Vpu vpu(platforms::riscv_vec());
-      std::vector<double> x(static_cast<std::size_t>(n), 0.0);
-      const auto rep = solver::vcg(vpu, a, b, x, opts, 240);
+      std::vector<double> x;
+      const auto rep = testsupport::replay_checked_solve(
+          std::string(to_string(kRungs[k])) + " at " + std::to_string(nref),
+          platforms::riscv_vec(), x, static_cast<std::size_t>(n),
+          [&](sim::Vpu& vpu, std::vector<double>& xs) {
+            return solver::vcg(vpu, a, b, xs, opts, 240);
+          },
+          &replayed);
       ASSERT_TRUE(rep.converged)
           << to_string(kRungs[k]) << " at " << nref << "^3";
       expect_contract(rep, a, b, x, opts,
@@ -209,6 +219,7 @@ TEST(PrecondLadder, RungsOrderMonotonicallyUnderRefinement) {
     prev_jacobi = iters[0];
     prev_deflate = iters[2];
   }
+  EXPECT_GT(replayed, 0u);  // the oracle saw the tape serve instructions
 }
 
 TEST(PrecondLadder, ContractHoldsOnEveryExitPathPerRung) {
@@ -221,12 +232,16 @@ TEST(PrecondLadder, ContractHoldsOnEveryExitPathPerRung) {
     for (const auto& m : kMachines) {
       const std::string tag =
           std::string(to_string(kind)) + " on " + m.name;
+      const std::size_t un = static_cast<std::size_t>(n);
       // convergence exit
       {
         SolveOptions opts = rung_options(kind, mesh);
-        sim::Vpu vpu(m);
-        std::vector<double> x(static_cast<std::size_t>(n), 0.0);
-        const auto rep = solver::vcg(vpu, a, b, x, opts, 64);
+        std::vector<double> x;
+        const auto rep = testsupport::replay_checked_solve(
+            tag + " convergence", m, x, un,
+            [&](sim::Vpu& vpu, std::vector<double>& xs) {
+              return solver::vcg(vpu, a, b, xs, opts, 64);
+            });
         EXPECT_TRUE(rep.converged) << tag;
         EXPECT_TRUE(rep.failure.empty()) << tag;
         expect_contract(rep, a, b, x, opts, tag + " convergence");
@@ -236,9 +251,12 @@ TEST(PrecondLadder, ContractHoldsOnEveryExitPathPerRung) {
         SolveOptions opts = rung_options(kind, mesh);
         opts.max_iterations = 2;
         opts.rel_tolerance = 1e-30;
-        sim::Vpu vpu(m);
-        std::vector<double> x(static_cast<std::size_t>(n), 0.0);
-        const auto rep = solver::vcg(vpu, a, b, x, opts, 64);
+        std::vector<double> x;
+        const auto rep = testsupport::replay_checked_solve(
+            tag + " budget", m, x, un,
+            [&](sim::Vpu& vpu, std::vector<double>& xs) {
+              return solver::vcg(vpu, a, b, xs, opts, 64);
+            });
         EXPECT_FALSE(rep.converged) << tag;
         EXPECT_EQ(rep.iterations, 2) << tag;
         expect_contract(rep, a, b, x, opts, tag + " budget");
@@ -246,10 +264,16 @@ TEST(PrecondLadder, ContractHoldsOnEveryExitPathPerRung) {
       // zero-RHS exit
       {
         SolveOptions opts = rung_options(kind, mesh);
-        sim::Vpu vpu(m);
         const std::vector<double> zero(static_cast<std::size_t>(n), 0.0);
-        std::vector<double> x = hashed_vector(n, 7);
-        const auto rep = solver::vcg(vpu, a, zero, x, opts, 64);
+        std::vector<double> x;
+        const auto rep = testsupport::replay_checked(
+            tag + " zero RHS", [&](testsupport::ReplayTrace& trace) {
+              sim::Vpu vpu(m);
+              x = hashed_vector(n, 7);
+              const auto r = solver::vcg(vpu, a, zero, x, opts, 64);
+              trace.add(vpu);
+              return r;
+            });
         EXPECT_TRUE(rep.converged) << tag;
         EXPECT_EQ(rep.iterations, 0) << tag;
         expect_contract(rep, a, zero, x, opts, tag + " zero RHS");
@@ -268,9 +292,12 @@ TEST(PrecondLadder, ContractHoldsOnEveryExitPathPerRung) {
                       .precond = {}};
     opts.precond.kind = kind;
     const std::vector<double> b2{1.0, 1.0};
-    sim::Vpu vpu(platforms::riscv_vec());
-    std::vector<double> x(2, 0.0);
-    const auto rep = solver::vcg(vpu, ind, b2, x, opts, 8);
+    std::vector<double> x;
+    const auto rep = testsupport::replay_checked_solve(
+        std::string(to_string(kind)) + " breakdown", platforms::riscv_vec(),
+        x, 2, [&](sim::Vpu& vpu, std::vector<double>& xs) {
+          return solver::vcg(vpu, ind, b2, xs, opts, 8);
+        });
     EXPECT_FALSE(rep.converged) << to_string(kind);
     expect_contract(rep, ind, b2, x, opts,
                     std::string(to_string(kind)) + " breakdown");
@@ -307,26 +334,49 @@ TEST(PrecondLadder, ZeroDiagonalSurfacesAsFailureNotAsAnException) {
     expect_failure(bicgstab(a, b, x, opts), x, "host bicgstab");
   }
   for (const auto& m : kMachines) {
+    // x starts at 0.5 in every run of the replay oracle
+    const auto solve_from_half = [&](const std::string& what,
+                                     std::vector<double>& x, auto solve) {
+      return testsupport::replay_checked(
+          what, [&](testsupport::ReplayTrace& trace) {
+            sim::Vpu vpu(m);
+            x.assign(x.size(), 0.5);
+            auto r = solve(vpu, x);
+            trace.add(vpu);
+            return r;
+          });
+    };
     {
-      sim::Vpu vpu(m);
-      std::vector<double> x(24, 0.5);
-      expect_failure(solver::vcg(vpu, a, b, x, opts, 8), x,
-                     std::string("vcg on ") + m.name);
+      std::vector<double> x(24);
+      const std::string what = std::string("vcg on ") + m.name;
+      expect_failure(
+          solve_from_half(what, x,
+                          [&](sim::Vpu& vpu, std::vector<double>& xs) {
+                            return solver::vcg(vpu, a, b, xs, opts, 8);
+                          }),
+          x, what);
     }
     {
-      sim::Vpu vpu(m);
-      std::vector<double> x(24, 0.5);
-      expect_failure(solver::vbicgstab(vpu, a, b, x, opts, 8), x,
-                     std::string("vbicgstab on ") + m.name);
+      std::vector<double> x(24);
+      const std::string what = std::string("vbicgstab on ") + m.name;
+      expect_failure(
+          solve_from_half(what, x,
+                          [&](sim::Vpu& vpu, std::vector<double>& xs) {
+                            return solver::vbicgstab(vpu, a, b, xs, opts, 8);
+                          }),
+          x, what);
     }
     {
       // multi-RHS: every active column fails; a zero column keeps its
       // ordinary converged-at-zero exit
-      sim::Vpu vpu(m);
       std::vector<double> B(48, 1.0);
       std::fill(B.begin() + 24, B.end(), 0.0);
-      std::vector<double> X(48, 0.5);
-      const auto reps = solver::vbicgstab_multi(vpu, a, B, X, 2, opts, 8);
+      std::vector<double> X(48);
+      const auto reps = solve_from_half(
+          std::string("multi on ") + m.name, X,
+          [&](sim::Vpu& vpu, std::vector<double>& xs) {
+            return solver::vbicgstab_multi(vpu, a, B, xs, 2, opts, 8);
+          });
       ASSERT_EQ(reps.size(), 2u);
       EXPECT_FALSE(reps[0].failure.empty()) << m.name;
       EXPECT_EQ(reps[0].iterations, 0) << m.name;
@@ -432,17 +482,17 @@ TEST(PrecondLadder, CountersConservePerRung) {
   miniapp::Scenario s = miniapp::scenario_cavity();
   s.mesh = {.nx = 4, .ny = 4, .nz = 4};
   const fem::Mesh mesh(s.mesh);
+  std::uint64_t replayed = 0;
   for (const auto kind : kRungs) {
     for (const auto& m : kMachines) {
       miniapp::TimeLoopConfig cfg;
       cfg.steps = 2;
       cfg.vector_size = 32;
       cfg.precond = kind;
-      miniapp::TimeLoop loop(mesh, s, cfg);
-      sim::Vpu vpu(m);
-      const auto res = loop.run(vpu);
       const std::string what =
           std::string(to_string(kind)) + " on " + m.name;
+      const auto res = testsupport::replay_checked_loop(what, mesh, s, cfg, m,
+                                                        nullptr, &replayed);
       EXPECT_TRUE(res.all_converged) << what;
       sim::Counters sum;
       for (const sim::Counters& c : res.phase) sum += c;
@@ -464,6 +514,7 @@ TEST(PrecondLadder, CountersConservePerRung) {
       EXPECT_NEAR(step_sum, res.cycles, 1e-9 * res.cycles) << what;
     }
   }
+  EXPECT_GT(replayed, 0u);
 }
 
 TEST(PrecondLadder, StructuredAggregatesAreDenseBoundedAndRobust) {
@@ -586,14 +637,13 @@ TEST(PrecondLadder, RcmComposedDeflationSolvesTheSameSystem) {
     cfg.vector_size = 32;
     cfg.precond = PrecondKind::kDeflate;
     cfg.rcm_renumber = renumber;
-    miniapp::TimeLoop loop(mesh, s, cfg);
-    sim::Vpu vpu(platforms::riscv_vec());
-    const auto res = loop.run(vpu);
+    std::vector<double> fields;
+    const auto res = testsupport::replay_checked_loop(
+        renumber ? "rcm" : "plain", mesh, s, cfg, platforms::riscv_vec(),
+        &fields);
     EXPECT_TRUE(res.all_converged) << (renumber ? "rcm" : "plain");
     int iters = 0;
     for (const auto& st : res.steps) iters += st.pressure.iterations;
-    auto unk = loop.state().unknowns();
-    std::vector<double> fields(unk.begin(), unk.end());
     (renumber ? rcm : plain) = std::move(fields);
     (renumber ? rcm_iters : plain_iters) = iters;
   }

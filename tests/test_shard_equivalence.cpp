@@ -21,11 +21,19 @@
 //     solve nor a jobs=4 campaign over sharded points creates a thread,
 //     and that campaign is bit-identical to its jobs=1 twin;
 //   * the shard-aware core::recommend_format overload and the halo-bound
-//     Advisor finding.
+//     Advisor finding;
+//   * the BSP makespan of a deliberately unbalanced two-shard plan, pinned
+//     exactly, so any regrouping of the executor's epochs shows;
+//   * every sharded solve and transient configuration runs through the
+//     steady-state replay oracle (replay_oracle.h): replay off and on give
+//     equal counters, equal L1/L2 hit/miss totals and an equal makespan,
+//     with the shard tapes driven from the worker pool's threads.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <filesystem>
+#include <span>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -40,6 +48,7 @@
 #include "miniapp/scenarios.h"
 #include "miniapp/time_loop.h"
 #include "platforms/platforms.h"
+#include "replay_oracle.h"
 #include "sim/halo_exchange.h"
 #include "sim/vpu.h"
 #include "solver/sharding.h"
@@ -79,6 +88,38 @@ void expect_reports_identical(const solver::SolveReport& got,
   EXPECT_EQ(got.failure, want.failure) << what;
 }
 
+/// One ShardedCg solve of @p plan through the replay oracle: a fresh
+/// executor and coordinator per run; every shard Vpu, the coordinator and
+/// the makespan go into the trace.
+solver::SolveReport replay_checked_sharded(
+    const std::string& what, const solver::ShardPlan& plan,
+    const solver::CsrMatrix& a, const sim::MachineConfig& machine, int vs,
+    std::span<const double> b, std::vector<double>& x,
+    const solver::SolveOptions& opts, double* makespan = nullptr,
+    std::uint64_t* halo = nullptr, std::uint64_t* replayed = nullptr) {
+  return testsupport::replay_checked(
+      what,
+      [&](testsupport::ReplayTrace& trace) {
+        solver::ShardedCg scg(plan, a, machine, vs, miniapp::kPressurePhase);
+        sim::Vpu coord(machine);
+        x.assign(b.size(), 0.0);
+        const solver::SolveReport rep = scg.solve(coord, b, x, opts);
+        trace.add(coord);
+        if (halo != nullptr) *halo = 0;
+        for (int p = 0; p < scg.shards(); ++p) {
+          trace.add(scg.shard_vpu(p));
+          if (halo != nullptr) {
+            *halo += scg.shard_vpu(p).counters().halo_lines_sent +
+                     scg.shard_vpu(p).counters().halo_lines_recv;
+          }
+        }
+        trace.values.push_back(scg.makespan_cycles());
+        if (makespan != nullptr) *makespan = scg.makespan_cycles();
+        return rep;
+      },
+      replayed);
+}
+
 TEST(ShardedCg, BitIdenticalToVcg) {
   PinnedPoisson sys(4);
   const sim::MachineConfig machine = platforms::riscv_vec();
@@ -92,25 +133,24 @@ TEST(ShardedCg, BitIdenticalToVcg) {
   solver::SolveReport ref =
       solver::vcg(ref_vpu, sys.a, sys.b, x_ref, opts, vs);
 
+  std::uint64_t replayed = 0;
   for (const int shards : {2, 4, 8}) {
-    fem::MeshPartition part = fem::partition_mesh(sys.mesh, shards, quantum);
-    solver::ShardedCg scg(std::move(part.plan), sys.a, machine, vs,
-                          miniapp::kPressurePhase);
-    sim::Vpu coord(machine);
-    std::vector<double> x(static_cast<std::size_t>(n), 0.0);
-    const solver::SolveReport rep = scg.solve(coord, sys.b, x, opts);
+    const fem::MeshPartition part =
+        fem::partition_mesh(sys.mesh, shards, quantum);
     const std::string what = "P=" + std::to_string(shards);
+    std::vector<double> x;
+    double makespan = 0.0;
+    std::uint64_t halo = 0;
+    const solver::SolveReport rep =
+        replay_checked_sharded(what, part.plan, sys.a, machine, vs, sys.b, x,
+                               opts, &makespan, &halo, &replayed);
     expect_reports_identical(rep, ref, what);
     EXPECT_EQ(x, x_ref) << what;  // bitwise, every unknown
-    EXPECT_GT(scg.makespan_cycles(), 0.0) << what;
+    EXPECT_GT(makespan, 0.0) << what;
     // The distributed work really ran on the shard Vpus.
-    std::uint64_t halo = 0;
-    for (int p = 0; p < shards; ++p) {
-      halo += scg.shard_vpu(p).counters().halo_lines_sent +
-              scg.shard_vpu(p).counters().halo_lines_recv;
-    }
     EXPECT_GT(halo, 0u) << what;
   }
+  EXPECT_GT(replayed, 0u);  // the shard tapes served instructions
 }
 
 TEST(ShardedCg, BitIdenticalToVcgOnZeroRhs) {
@@ -127,14 +167,101 @@ TEST(ShardedCg, BitIdenticalToVcgOnZeroRhs) {
   solver::SolveReport ref =
       solver::vcg(ref_vpu, sys.a, zero_b, x_ref, opts, vs);
 
-  fem::MeshPartition part = fem::partition_mesh(sys.mesh, 2, quantum);
-  solver::ShardedCg scg(std::move(part.plan), sys.a, machine, vs,
-                        miniapp::kPressurePhase);
-  sim::Vpu coord(machine);
-  std::vector<double> x(static_cast<std::size_t>(n), 0.0);
-  const solver::SolveReport rep = scg.solve(coord, zero_b, x, opts);
+  const fem::MeshPartition part = fem::partition_mesh(sys.mesh, 2, quantum);
+  std::vector<double> x;
+  const solver::SolveReport rep = replay_checked_sharded(
+      "zero rhs", part.plan, sys.a, machine, vs, zero_b, x, opts);
   expect_reports_identical(rep, ref, "zero rhs");
   EXPECT_EQ(x, x_ref);
+}
+
+/// Two deliberately unbalanced shards on a machine whose L1 is one set of
+/// two ways:
+/// shard 0 owns 8 wide rows (a dense 8×8 block plus two links each into
+/// shard 1), so its SpMV outweighs shard 1's; shard 1 owns 16 narrow rows
+/// (a chain plus one link each) in two strips, so its reductions outweigh
+/// shard 0's.  SPD by strict diagonal dominance.
+struct UnbalancedShards {
+  static constexpr int kWide = 8;
+  static constexpr int kNarrow = 16;
+  static constexpr int kStrip = 8;
+
+  UnbalancedShards() {
+    machine.memory.l1 = {.size_bytes = 128, .line_bytes = 64,
+                         .associativity = 2, .name = "L1D"};
+    machine.memory.l2 = {.size_bytes = 4096, .line_bytes = 64,
+                         .associativity = 4, .name = "L2"};
+    const int n = kWide + kNarrow;
+    std::vector<std::vector<std::pair<int, double>>> off(
+        static_cast<std::size_t>(n));
+    const auto link = [&](int i, int j, double v) {
+      off[static_cast<std::size_t>(i)].push_back({j, v});
+      off[static_cast<std::size_t>(j)].push_back({i, v});
+    };
+    for (int i = 0; i < kWide; ++i) {
+      for (int k = i + 1; k < kWide; ++k) link(i, k, -0.5);
+      link(i, kWide + 2 * i, -1.0);
+      link(i, kWide + 2 * i + 1, -1.0);
+    }
+    for (int j = kWide; j + 1 < n; ++j) link(j, j + 1, -1.0);
+    std::vector<std::vector<int>> adj(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      for (const auto& [j, v] : off[static_cast<std::size_t>(i)]) {
+        adj[static_cast<std::size_t>(i)].push_back(j);
+      }
+    }
+    a = solver::CsrMatrix(adj);
+    for (int i = 0; i < n; ++i) {
+      double sum = 0.0;
+      for (const auto& [j, v] : off[static_cast<std::size_t>(i)]) {
+        a.add(i, j, v);
+        sum += std::abs(v);
+      }
+      a.add(i, i, sum + 1.0 + 0.1 * i);
+    }
+    b.assign(static_cast<std::size_t>(n), 0.0);
+    for (int i = 0; i < n; ++i) {
+      b[static_cast<std::size_t>(i)] = 1.0 + 0.25 * std::sin(1.0 * i);
+    }
+    plan.shards = 2;
+    plan.quantum = kStrip;
+    plan.bounds = {0, kWide, n};
+    plan.ghosts.resize(2);
+    for (int j = kWide; j < n; ++j) plan.ghosts[0].push_back(j);
+    for (int i = 0; i < kWide; ++i) plan.ghosts[1].push_back(i);
+  }
+
+  sim::MachineConfig machine = platforms::riscv_vec();
+  solver::CsrMatrix a;
+  std::vector<double> b;
+  solver::ShardPlan plan;
+};
+
+TEST(ShardedCg, MakespanPinsTheEpochGrouping) {
+  // The slowest shard differs between the SpMV and the reduction half of
+  // the spmv_dot epoch, so splitting it into two epochs raises the BSP
+  // makespan; the two-line L1 makes the order of step()'s two updates
+  // visible in hit/miss counts.  The pinned value is the makespan of this exact
+  // epoch grouping and kernel order — any regrouping moves it.
+  UnbalancedShards sys;
+  std::vector<double> x;
+  double makespan = 0.0;
+  const solver::SolveReport rep = replay_checked_sharded(
+      "unbalanced", sys.plan, sys.a, sys.machine, UnbalancedShards::kStrip,
+      sys.b, x,
+      {.max_iterations = 6, .rel_tolerance = 1e-30, .precond = {}},
+      &makespan);
+  EXPECT_EQ(rep.iterations, 6);
+  // The same system on one Vpu iterates identically (P-independence).
+  sim::Vpu ref(sys.machine);
+  std::vector<double> x_ref(sys.b.size(), 0.0);
+  const solver::SolveReport want = solver::vcg(
+      ref, sys.a, sys.b, x_ref,
+      {.max_iterations = 6, .rel_tolerance = 1e-30, .precond = {}},
+      UnbalancedShards::kStrip);
+  expect_reports_identical(rep, want, "unbalanced P=2");
+  EXPECT_EQ(x, x_ref);
+  EXPECT_EQ(makespan, 0x1.55b3fffffffecp+13) << std::hexfloat << makespan;
 }
 
 TEST(ShardedCg, RejectsScalarMachineAndZeroDiagonal) {
@@ -190,12 +317,11 @@ LoopRun run_loop(const sim::MachineConfig& machine, int shards,
   cfg.shards = shards;
   cfg.precond = precond;
   cfg.rcm_renumber = rcm;
-  miniapp::TimeLoop loop(mesh, scen, cfg);
-  sim::Vpu vpu(machine);
   LoopRun r;
-  r.res = loop.run(vpu);
-  const auto unk = loop.state().unknowns();
-  r.fields.assign(unk.begin(), unk.end());
+  r.res = testsupport::replay_checked_loop(
+      "P=" + std::to_string(shards) + " " + to_string(precond) +
+          (rcm ? " rcm" : ""),
+      mesh, scen, cfg, machine, &r.fields);
   for (const auto& step : r.res.steps) {
     r.pressure_history.insert(r.pressure_history.end(),
                               step.pressure.history.begin(),
