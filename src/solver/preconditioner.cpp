@@ -19,9 +19,9 @@ namespace {
 void vrestrict_sum(sim::Vpu& vpu, const std::int32_t* cols, int width, int nc,
                    std::span<const double> r, std::span<double> rc,
                    int strip) {
-  if (vpu.config().vector_enabled) {
-    for_strips(vpu, nc, solve_effective_strip(strip, vpu.config()),
-               [&](int i, int) {
+  const ColumnBlock blk(static_cast<std::size_t>(nc), 1, {}, "vrestrict_sum");
+  for_block(vpu, blk, strip, [&](int eff) {
+    for_strips(vpu, nc, eff, [&](int i, int) {
       sim::Vec acc = vpu.vsplat(0.0);
       for (int j = 0; j < width; ++j) {
         const sim::Vec idx =
@@ -32,23 +32,20 @@ void vrestrict_sum(sim::Vpu& vpu, const std::int32_t* cols, int width, int nc,
       }
       vpu.vstore(rc.data() + i, acc);
     });
-  } else {
-    for (int c = 0; c < nc; ++c) {
-      double s = 0.0;
-      for (int j = 0; j < width; ++j) {
-        const std::int32_t f =
-            vpu.sload_i32(cols + static_cast<std::size_t>(j) * nc + c);
-        vpu.sarith(1);  // pad-mask test
-        if (f < 0) {    // masked pad lane: skipped, zero data traffic
-          vpu.note_pad_lanes(1);
-          continue;
-        }
-        s = vpu.sadd(s, vpu.sload(r.data() + f));
+  }, [&](std::size_t, std::size_t, int c) {
+    double s = 0.0;
+    for (int j = 0; j < width; ++j) {
+      const std::int32_t f =
+          vpu.sload_i32(cols + static_cast<std::size_t>(j) * nc + c);
+      vpu.sarith(1);  // pad-mask test
+      if (f < 0) {    // masked pad lane: skipped, zero data traffic
+        vpu.note_pad_lanes(1);
+        continue;
       }
-      vpu.sstore(rc.data() + c, s);
-      vpu.sarith(1);
+      s = vpu.sadd(s, vpu.sload(r.data() + f));
     }
-  }
+    vpu.sstore(rc.data() + c, s);
+  });
 }
 
 /// z[i] += alpha · zc[agg[i]] — the P prolongation, a width-1 gather
@@ -56,24 +53,18 @@ void vrestrict_sum(sim::Vpu& vpu, const std::int32_t* cols, int width, int nc,
 void vprolong_axpy(sim::Vpu& vpu, const std::int32_t* agg, double alpha,
                    std::span<const double> zc, std::span<double> z,
                    int strip) {
-  const int n = static_cast<int>(z.size());
-  if (vpu.config().vector_enabled) {
-    for_strips(vpu, n, solve_effective_strip(strip, vpu.config()),
-               [&](int i, int) {
-      const sim::Vec idx = vpu.vload_i32(agg + i);
-      const sim::Vec cs = vpu.vgather(zc.data(), idx);
-      const sim::Vec vz = vpu.vload(z.data() + i);
-      vpu.vstore(z.data() + i, vpu.vfma_s(cs, alpha, vz));
-    });
-  } else {
-    for (int i = 0; i < n; ++i) {
-      const std::int32_t c = vpu.sload_i32(agg + i);
-      const double zi = vpu.sload(z.data() + i);
-      const double ci = vpu.sload(zc.data() + c);
-      vpu.sstore(z.data() + i, vpu.sfma(ci, alpha, zi));
-      vpu.sarith(1);
-    }
-  }
+  for_columns(vpu, ColumnBlock(z.size(), 1, {}, "vprolong_axpy"), strip,
+              [&](std::size_t, std::size_t, int i) {
+    const sim::Vec idx = vpu.vload_i32(agg + i);
+    const sim::Vec cs = vpu.vgather(zc.data(), idx);
+    const sim::Vec vz = vpu.vload(z.data() + i);
+    vpu.vstore(z.data() + i, vpu.vfma_s(cs, alpha, vz));
+  }, [&](std::size_t, std::size_t, int i) {
+    const std::int32_t c = vpu.sload_i32(agg + i);
+    const double zi = vpu.sload(z.data() + i);
+    const double ci = vpu.sload(zc.data() + c);
+    vpu.sstore(z.data() + i, vpu.sfma(ci, alpha, zi));
+  });
 }
 
 }  // namespace

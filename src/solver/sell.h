@@ -91,10 +91,10 @@ class SellMatrix {
 
   /// Start column c0 when slab j of slice s is the pad-free unit run
   /// [c0, c0+slice_rows(s)); −1 otherwise (the vgather path).
-  int coalesced_col(int s, int j) const {
-    return coal_[static_cast<std::size_t>(slab_off_[
-               static_cast<std::size_t>(s)]) +
-               static_cast<std::size_t>(j)];
+  int coalesced_col(int s, int j) const { return coalesced_cols(s)[j]; }
+  /// coalesced_col(s, j) for every slab j of slice s.
+  const std::int32_t* coalesced_cols(int s) const {
+    return coal_.data() + slab_off_[static_cast<std::size_t>(s)];
   }
 
   /// The row permutation: permutation()[q] is the original row stored at

@@ -99,29 +99,9 @@ ShardedCg::ShardedCg(ShardPlan plan, const CsrMatrix& a,
                    dinv_global.begin() + base + sh.rows);
     sh.partials.reserve(rows == 0 ? 0 : (rows - 1) / strip_ + 1);
 
-    sh.width = 0;
-    for (int r = 0; r < sh.rows; ++r) {
-      sh.width = std::max(
-          sh.width, static_cast<int>(a.row_cols(base + r).size()));
-    }
-    const std::size_t cells = static_cast<std::size_t>(sh.width) * rows;
-    sh.ell_vals.assign(cells, 0.0);
-    sh.ell_cols.assign(cells, -1);  // masked pads, exact fma no-ops
-    for (int r = 0; r < sh.rows; ++r) {
-      const auto cs = a.row_cols(base + r);
-      const auto vs = a.row_vals(base + r);
-      for (std::size_t j = 0; j < cs.size(); ++j) {
-        const int lc = plan_.local_index(p, cs[j]);
-        if (lc < 0) {
-          throw std::invalid_argument(
-              "ShardedCg: matrix column outside the plan's overlap-1 ghost "
-              "closure");
-        }
-        const std::size_t k = j * rows + static_cast<std::size_t>(r);
-        sh.ell_vals[k] = vs[j];
-        sh.ell_cols[k] = lc;
-      }
-    }
+    // throws when a column lies outside the overlap-1 ghost closure
+    sh.op.assign(a, base, sh.rows, plan_.local_size(p),
+                [&](int c) { return plan_.local_index(p, c); });
 
     // Ghosts are sorted by global id and ownership ranges ascend, so each
     // owner's contribution is one contiguous run of the ghost list.
@@ -226,24 +206,6 @@ void ShardedCg::seg_scaled_partials(Shard& sh, const double* a,
   });
 }
 
-void ShardedCg::seg_spmv(Shard& sh, const double* xloc, double* yloc) const {
-  sim::Vpu& vpu = *sh.vpu;
-  const std::size_t rows = static_cast<std::size_t>(sh.rows);
-  for_strips(vpu, sh.rows, strip_, [&](int i, int) {
-    sim::Vec acc = vpu.vsplat(0.0);
-    for (int j = 0; j < sh.width; ++j) {
-      const std::size_t k =
-          static_cast<std::size_t>(j) * rows + static_cast<std::size_t>(i);
-      const sim::Vec vv = vpu.vload(sh.ell_vals.data() + k);
-      const sim::Vec idx = vpu.vload_i32(sh.ell_cols.data() + k);
-      const sim::Vec xs = vpu.vgather(xloc, idx);
-      acc = vpu.vfma(vv, xs, acc);
-      vpu.sarith(1);  // slab-loop control
-    }
-    vpu.vstore(yloc + i, acc);
-  });
-}
-
 double ShardedCg::sharded_norm2(sim::Vpu& coord, Vec v) {
   for_shards([&](Shard& sh) {
     seg_dot_partials(sh, (sh.*v).data(), (sh.*v).data());
@@ -317,7 +279,7 @@ struct ShardedCg::Exec {
   void residual() {
     cg.exchange_into(&Shard::x);
     cg.for_shards([&](Shard& sh) {
-      cg.seg_spmv(sh, sh.x.data(), sh.ap.data());
+      vspmv(*sh.vpu, sh.op, sh.x, sh.ap, cg.strip_);
       vsub(*sh.vpu, sh.b, sh.ap, sh.r, cg.strip_);
     });
   }
@@ -331,7 +293,7 @@ struct ShardedCg::Exec {
   double spmv_dot() {
     cg.exchange_into(&Shard::p);
     cg.for_shards([&](Shard& sh) {
-      cg.seg_spmv(sh, sh.p.data(), sh.ap.data());
+      vspmv(*sh.vpu, sh.op, sh.p, sh.ap, cg.strip_);
       cg.seg_dot_partials(sh, sh.p.data(), sh.ap.data());
     });
     return cg.fold_sum(coord);

@@ -19,10 +19,11 @@
 //      vredsum/vredmax partials and the coordinator folds them with the
 //      same scalar recurrence (sadd / NaN-sticky max) over the global
 //      strip sequence — never a shard-local pre-accumulation;
-//   3. the restricted operator mirrors keep each owned row's CSR entry
-//      order with pads that are exact fma no-ops (an fma chain seeded at
-//      +0.0 can never produce −0.0, so a shorter local pad tail cannot
-//      change the stored row result);
+//   3. the restricted operator mirrors (EllMatrix row-range builds over
+//      local column ids) keep each owned row's CSR entry order with pads
+//      that are exact fma no-ops (an fma chain seeded at +0.0 can never
+//      produce −0.0, so a shorter local pad tail cannot change the stored
+//      row result), and their SpMV is the single-Vpu vspmv;
 //   4. elementwise kernels are order-free per element, and ghost reads see
 //      owner values copied bit-for-bit by HaloExchange before every
 //      operator application.
@@ -43,6 +44,7 @@
 #include "sim/vpu.h"
 #include "solver/csr.h"
 #include "solver/krylov.h"
+#include "solver/vkernels.h"
 
 namespace vecfd::solver {
 
@@ -120,13 +122,10 @@ class ShardedCg {
  private:
   struct Shard {
     std::unique_ptr<sim::Vpu> vpu;
-    int rows = 0;   ///< owned rows
-    int width = 0;  ///< local ELL width (max owned-row nnz)
-    // Restricted operator: column-major ELL slabs over owned rows, local
-    // column ids (owned prefix, then ghosts), -1 masked pads, global CSR
-    // row entry order preserved.
-    std::vector<double> ell_vals;
-    std::vector<std::int32_t> ell_cols;
+    int rows = 0;  ///< owned rows
+    /// Restricted operator: the owned rows over local column ids (owned
+    /// prefix, then ghosts); its SpMV is plain vspmv.
+    EllMatrix op;
     std::vector<double> dinv;   ///< owned slice of the Jacobi inverse diagonal
     std::vector<double> x, p;   ///< local_size: owned + ghost slots
     std::vector<double> b, r, z, ap;  ///< owned only
@@ -152,7 +151,6 @@ class ShardedCg {
   void seg_dot_partials(Shard& sh, const double* a, const double* bb) const;
   void seg_max_partials(Shard& sh, const double* a) const;
   void seg_scaled_partials(Shard& sh, const double* a, double m) const;
-  void seg_spmv(Shard& sh, const double* xloc, double* yloc) const;
 
   /// vnorm2 / vdot split over the shards' owned slices of @p v.
   double sharded_norm2(sim::Vpu& coord, Vec v);

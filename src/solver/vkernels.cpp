@@ -10,29 +10,57 @@
 
 namespace vecfd::solver {
 
+namespace {
+
+void check_len(std::size_t got, std::size_t want, const char* what) {
+  if (got != want) {
+    throw std::invalid_argument(std::string(what) + ": dimension mismatch");
+  }
+}
+
+}  // namespace
+
 EllMatrix::EllMatrix(const CsrMatrix& a) { assign(a); }
 
 void EllMatrix::assign(const CsrMatrix& a) {
-  rows_ = a.rows();
+  build(a, 0, a.rows(), a.rows(), [](int c) { return c; });
+}
+
+void EllMatrix::assign(const CsrMatrix& a, int first, int rows, int cols,
+                       const std::function<int(int)>& col_of) {
+  build(a, first, rows, cols, col_of);
+}
+
+template <class ColOf>
+void EllMatrix::build(const CsrMatrix& a, int first, int rows, int cols,
+                      ColOf&& col_of) {
+  if (first < 0 || rows < 0 || first + rows > a.rows()) {
+    throw std::invalid_argument("EllMatrix: row range outside the matrix");
+  }
+  rows_ = rows;
+  cols_n_ = cols;
   width_ = 0;
   for (int r = 0; r < rows_; ++r) {
-    width_ = std::max(width_, static_cast<int>(a.row_cols(r).size()));
+    width_ = std::max(width_, static_cast<int>(a.row_cols(first + r).size()));
   }
   const std::size_t cells =
       static_cast<std::size_t>(width_) * static_cast<std::size_t>(rows_);
   vals_.assign(cells, 0.0);
-  cols_.assign(cells, 0);
+  cols_.assign(cells, -1);  // masked pads: +0.0 and zero cache traffic
   for (int r = 0; r < rows_; ++r) {
-    const auto cs = a.row_cols(r);
-    const auto vs = a.row_vals(r);
-    for (int j = 0; j < width_; ++j) {
-      const std::size_t k = static_cast<std::size_t>(j) * rows_ + r;
-      if (j < static_cast<int>(cs.size())) {
-        vals_[k] = vs[static_cast<std::size_t>(j)];
-        cols_[k] = cs[static_cast<std::size_t>(j)];
-      } else {
-        cols_[k] = -1;  // masked pad: +0.0 and zero cache traffic
+    const auto cs = a.row_cols(first + r);
+    const auto vs = a.row_vals(first + r);
+    for (std::size_t j = 0; j < cs.size(); ++j) {
+      const int c = col_of(cs[j]);
+      if (c < 0 || c >= cols) {
+        throw std::invalid_argument(
+            "EllMatrix: column " + std::to_string(cs[j]) +
+            " maps outside the mirror's column range");
       }
+      const std::size_t k = j * static_cast<std::size_t>(rows_) +
+                            static_cast<std::size_t>(r);
+      vals_[k] = vs[j];
+      cols_[k] = c;
     }
   }
 }
@@ -43,68 +71,172 @@ int solve_effective_strip(int requested, const sim::MachineConfig& machine) {
                                                      : requested;
 }
 
-namespace {
-
-bool vector_path(const sim::Vpu& vpu) { return vpu.config().vector_enabled; }
-
-int effective_strip(const sim::Vpu& vpu, int strip) {
-  return solve_effective_strip(strip, vpu.config());
-}
-
-// for_strips — the canonical strip-miner — now lives in vkernels.h so the
-// preconditioner kernels share it.
-
-void check_len(std::size_t got, std::size_t want, const char* what) {
-  if (got != want) {
+ColumnBlock::ColumnBlock(std::size_t cells, int columns,
+                         std::span<const char> mask, const char* what)
+    : k(columns), active(mask) {
+  if (k <= 0) {
+    throw std::invalid_argument(std::string(what) + ": k must be positive");
+  }
+  if (cells % static_cast<std::size_t>(k) != 0) {
     throw std::invalid_argument(std::string(what) + ": dimension mismatch");
   }
+  if (!active.empty() && active.size() != static_cast<std::size_t>(k)) {
+    throw std::invalid_argument(std::string(what) + ": active mask size");
+  }
+  n = cells / static_cast<std::size_t>(k);
 }
 
-/// out = base + scale·scaled (out may alias either input).
-void axpby_into(sim::Vpu& vpu, std::span<const double> base, double scale,
-                std::span<const double> scaled, std::span<double> out,
-                int strip) {
-  const int n = static_cast<int>(out.size());
-  check_len(base.size(), out.size(), "axpby_into");
-  check_len(scaled.size(), out.size(), "axpby_into");
-  if (vector_path(vpu)) {
-    for_strips(vpu, n, effective_strip(vpu, strip), [&](int i, int) {
-      const sim::Vec vb = vpu.vload(base.data() + i);
-      const sim::Vec vs = vpu.vload(scaled.data() + i);
-      vpu.vstore(out.data() + i, vpu.vfma_s(vs, scale, vb));
-    });
-  } else {
-    for (int i = 0; i < n; ++i) {
-      const double bi = vpu.sload(base.data() + i);
-      const double si = vpu.sload(scaled.data() + i);
-      vpu.sstore(out.data() + i, vpu.sfma(si, scale, bi));
+namespace {
+
+/// One run of `rows` lanes of a column-major slab operator: the whole ELL
+/// mirror, or one SELL slice.  Slab j starts at vals/cols + j·rows; slab j
+/// is the pad-free unit column run coal[j] + lane when coal[j] >= 0.  The
+/// vector body stores lane l to row row_base + l, or scatters it through
+/// row_ids when row_base < 0; the scalar body reads row_ids when set.
+struct SlabRun {
+  int rows = 0;
+  int width = 0;
+  const double* vals = nullptr;
+  const std::int32_t* cols = nullptr;
+  const std::int32_t* coal = nullptr;  ///< null: every slab gathers
+  int row_base = 0;
+  const std::int32_t* row_ids = nullptr;
+};
+
+/// The blocked SpMV of both slab formats: Y_d = A·X_d over @p runs slab
+/// runs (run_of(s), each @p run_height lanes but the last), every slab
+/// value/index load feeding all active gather/fma streams.  X's columns
+/// are @p x_len long; @p run_control charges the per-run loop control.
+template <class RunOf>
+void slab_spmv(sim::Vpu& vpu, const ColumnBlock& blk, const double* x,
+               std::size_t x_len, double* y, int strip, int runs,
+               int run_height, bool run_control, RunOf&& run_of) {
+  for_block(vpu, blk, strip, [&](int eff) {
+    // Vec accumulators hold register values; this storage is never
+    // vload/vstore'd, so no canonical line ever maps to it and its free
+    // cannot re-alias a measured buffer.
+    // vecfd-lint: allow(measured-alloc) register-value storage, never mapped
+    std::vector<sim::Vec> acc(static_cast<std::size_t>(blk.k));
+    for (int s = 0; s < runs; ++s) {
+      const SlabRun r = run_of(s);
+      for_strips(vpu, r.rows, eff, [&](int i, int vl) {
+        blk.each([&](std::size_t d, std::size_t) {
+          acc[d] = vpu.vsplat(0.0);
+        });
+        for (int j = 0; j < r.width; ++j) {
+          const std::size_t at = static_cast<std::size_t>(j) *
+                                     static_cast<std::size_t>(r.rows) +
+                                 static_cast<std::size_t>(i);
+          const sim::Vec vv = vpu.vload(r.vals + at);
+          const int c0 = r.coal != nullptr ? r.coal[j] : -1;
+          sim::Vec idx;
+          if (c0 < 0) idx = vpu.vload_i32(r.cols + at);
+          blk.each([&](std::size_t d, std::size_t) {
+            const double* xd = x + d * x_len;
+            sim::Vec xs;
+            if (c0 >= 0) {
+              // coalescing fast path: the slab's columns are the unit run
+              // c0+i .. c0+i+vl−1, so the gather degenerates to a vload
+              xs = vpu.vload(xd + c0 + i);
+              vpu.note_coalesced_lanes(static_cast<std::uint64_t>(vl));
+            } else {
+              xs = vpu.vgather(xd, idx);
+            }
+            acc[d] = vpu.vfma(vv, xs, acc[d]);
+            vpu.sarith(1);  // stream-loop control
+          });
+        }
+        if (r.row_base >= 0) {
+          blk.each([&](std::size_t d, std::size_t off) {
+            vpu.vstore(y + off + r.row_base + i, acc[d]);
+          });
+        } else {
+          const sim::Vec ridx = vpu.vload_i32(r.row_ids + i);
+          blk.each([&](std::size_t d, std::size_t off) {
+            vpu.vscatter(y + off, ridx, acc[d]);
+          });
+        }
+      });
+      if (run_control) vpu.sarith(1);  // slice-loop control
+    }
+  }, [&](std::size_t d, std::size_t off, int q) {
+    // lanes in run (memory) order; per-row accumulation in CSR order
+    const int s = q / run_height;
+    const SlabRun r = run_of(s);
+    const int l = q - s * run_height;
+    const int row =
+        r.row_ids != nullptr ? vpu.sload_i32(r.row_ids + l) : r.row_base + l;
+    double acc = 0.0;
+    for (int j = 0; j < r.width; ++j) {
+      const std::size_t at = static_cast<std::size_t>(j) *
+                                 static_cast<std::size_t>(r.rows) +
+                             static_cast<std::size_t>(l);
+      const std::int32_t c = vpu.sload_i32(r.cols + at);
+      vpu.sarith(1);  // pad-mask test
+      if (c < 0) {    // masked pad lane: skipped, zero data traffic
+        vpu.note_pad_lanes(1);
+        continue;
+      }
+      const double v = vpu.sload(r.vals + at);
+      const double xv = vpu.sload(x + d * x_len + c);
+      acc = vpu.sfma(v, xv, acc);
       vpu.sarith(1);
     }
-  }
+    vpu.sstore(y + off + row, acc);
+  });
 }
 
-/// p = r + beta·(p − omega·v), the BiCGStab direction update.
-void bicgstab_p_update(sim::Vpu& vpu, std::span<const double> r, double beta,
-                       double omega, std::span<const double> v,
-                       std::span<double> p, int strip) {
-  const int n = static_cast<int>(p.size());
-  if (vector_path(vpu)) {
-    for_strips(vpu, n, effective_strip(vpu, strip), [&](int i, int) {
-      const sim::Vec vp = vpu.vload(p.data() + i);
-      const sim::Vec vv = vpu.vload(v.data() + i);
-      const sim::Vec vr = vpu.vload(r.data() + i);
-      const sim::Vec tmp = vpu.vfma_s(vv, -omega, vp);
-      vpu.vstore(p.data() + i, vpu.vfma_s(tmp, beta, vr));
-    });
-  } else {
-    for (int i = 0; i < n; ++i) {
-      const double pi = vpu.sload(p.data() + i);
-      const double vi = vpu.sload(v.data() + i);
-      const double ri = vpu.sload(r.data() + i);
-      vpu.sstore(p.data() + i, vpu.sfma(vpu.sfma(vi, -omega, pi), beta, ri));
-      vpu.sarith(1);
+/// out_d = base_d + scale[d]·scaled_d (out may alias either input) — the
+/// axpy, xpby and BiCGStab s / r updates.
+void axpby_into_multi(sim::Vpu& vpu, std::span<const double> base,
+                      std::span<const double> scale,
+                      std::span<const double> scaled, std::span<double> out,
+                      int k, int strip, std::span<const char> active = {}) {
+  const ColumnBlock blk(out.size(), k, active, "axpby");
+  check_len(base.size(), out.size(), "axpby");
+  check_len(scaled.size(), out.size(), "axpby");
+  check_len(scale.size(), static_cast<std::size_t>(k), "axpby");
+  for_columns(vpu, blk, strip, [&](std::size_t d, std::size_t off, int i) {
+    const sim::Vec vb = vpu.vload(base.data() + off + i);
+    const sim::Vec vs = vpu.vload(scaled.data() + off + i);
+    vpu.vstore(out.data() + off + i, vpu.vfma_s(vs, scale[d], vb));
+  }, [&](std::size_t d, std::size_t off, int i) {
+    const double bi = vpu.sload(base.data() + off + i);
+    const double si = vpu.sload(scaled.data() + off + i);
+    vpu.sstore(out.data() + off + i, vpu.sfma(si, scale[d], bi));
+  });
+}
+
+/// The BiCGStab direction update: restart columns take p_d = r_d, the rest
+/// p_d = r_d + beta[d]·(p_d − omega[d]·v_d).
+void bicgstab_p_update_multi(sim::Vpu& vpu, std::span<const double> r,
+                             std::span<const double> beta,
+                             std::span<const double> omega,
+                             std::span<const double> v, std::span<double> p,
+                             int k, std::span<const char> restart, int strip,
+                             std::span<const char> active) {
+  const ColumnBlock blk(p.size(), k, active, "bicgstab_p_update");
+  for_columns(vpu, blk, strip, [&](std::size_t d, std::size_t off, int i) {
+    if (restart[d]) {
+      vpu.vstore(p.data() + off + i, vpu.vload(r.data() + off + i));
+      return;
     }
-  }
+    const sim::Vec vp = vpu.vload(p.data() + off + i);
+    const sim::Vec vv = vpu.vload(v.data() + off + i);
+    const sim::Vec vr = vpu.vload(r.data() + off + i);
+    const sim::Vec tmp = vpu.vfma_s(vv, -omega[d], vp);
+    vpu.vstore(p.data() + off + i, vpu.vfma_s(tmp, beta[d], vr));
+  }, [&](std::size_t d, std::size_t off, int i) {
+    if (restart[d]) {
+      vpu.sstore(p.data() + off + i, vpu.sload(r.data() + off + i));
+      return;
+    }
+    const double pi = vpu.sload(p.data() + off + i);
+    const double vi = vpu.sload(v.data() + off + i);
+    const double ri = vpu.sload(r.data() + off + i);
+    vpu.sstore(p.data() + off + i,
+               vpu.sfma(vpu.sfma(vi, -omega[d], pi), beta[d], ri));
+  });
 }
 
 /// SELL slice height for a solver-built mirror: the effective strip, with
@@ -163,112 +295,120 @@ SolveReport& vfailure_exit(sim::Vpu& vpu, SolveReport& rep, const char* why,
 
 }  // namespace
 
+// ---- single-RHS kernels: the k = 1 blocked kernels ---------------------
+
 void vspmv(sim::Vpu& vpu, const EllMatrix& a, std::span<const double> x,
            std::span<double> y, int strip) {
-  const int n = a.rows();
-  check_len(x.size(), static_cast<std::size_t>(n), "vspmv");
-  check_len(y.size(), static_cast<std::size_t>(n), "vspmv");
-  if (vector_path(vpu)) {
-    for_strips(vpu, n, effective_strip(vpu, strip), [&](int i, int) {
-      sim::Vec acc = vpu.vsplat(0.0);
-      for (int j = 0; j < a.width(); ++j) {
-        const sim::Vec vv = vpu.vload(a.vals(j) + i);
-        const sim::Vec idx = vpu.vload_i32(a.cols(j) + i);
-        const sim::Vec xs = vpu.vgather(x.data(), idx);
-        acc = vpu.vfma(vv, xs, acc);
-        vpu.sarith(1);  // slab-loop control
-      }
-      vpu.vstore(y.data() + i, acc);
-    });
-  } else {
-    for (int r = 0; r < n; ++r) {
-      double s = 0.0;
-      for (int j = 0; j < a.width(); ++j) {
-        const std::int32_t c = vpu.sload_i32(a.cols(j) + r);
-        vpu.sarith(1);  // pad-mask test
-        if (c < 0) {    // masked pad lane: skipped, zero data traffic
-          vpu.note_pad_lanes(1);
-          continue;
-        }
-        const double v = vpu.sload(a.vals(j) + r);
-        const double xv = vpu.sload(x.data() + c);
-        s = vpu.sfma(v, xv, s);
-        vpu.sarith(1);
-      }
-      vpu.sstore(y.data() + r, s);
-      vpu.sarith(1);
-    }
-  }
+  vspmv_multi(vpu, a, x, y, 1, strip);
 }
 
 void vspmv(sim::Vpu& vpu, const SellMatrix& a, std::span<const double> x,
            std::span<double> y, int strip) {
-  const int n = a.rows();
-  check_len(x.size(), static_cast<std::size_t>(n), "vspmv(sell)");
-  check_len(y.size(), static_cast<std::size_t>(n), "vspmv(sell)");
-  if (!vector_path(vpu)) {
-    // Scalar fallback walks lanes in slice order (the layout's memory
-    // order); per-row accumulation order is CSR order, values identical.
-    for (int s = 0; s < a.num_slices(); ++s) {
-      const int nr = a.slice_rows(s);
-      const std::int32_t* ids = a.row_ids(s);
-      for (int l = 0; l < nr; ++l) {
-        const std::int32_t rid = vpu.sload_i32(ids + l);
-        double acc = 0.0;
-        for (int j = 0; j < a.slice_width(s); ++j) {
-          const std::int32_t c = vpu.sload_i32(a.cols(s, j) + l);
-          vpu.sarith(1);  // pad-mask test
-          if (c < 0) {
-            vpu.note_pad_lanes(1);
-            continue;
-          }
-          const double v = vpu.sload(a.vals(s, j) + l);
-          const double xv = vpu.sload(x.data() + c);
-          acc = vpu.sfma(v, xv, acc);
-          vpu.sarith(1);
-        }
-        vpu.sstore(y.data() + rid, acc);
-        vpu.sarith(1);
-      }
-    }
-    return;
-  }
-  const int eff = effective_strip(vpu, strip);
-  for (int s = 0; s < a.num_slices(); ++s) {
-    const int nr = a.slice_rows(s);
-    const int base = a.slice_row_base(s);
-    for (int i = 0; i < nr;) {
-      // vecfd-lint: allow(strip-mine-contract) slice-local strip loop: SELL
-      const int vl = vpu.set_vl(std::min(eff, nr - i));
-      sim::Vec acc = vpu.vsplat(0.0);
-      for (int j = 0; j < a.slice_width(s); ++j) {
-        const sim::Vec vv = vpu.vload(a.vals(s, j) + i);
-        const int c0 = a.coalesced_col(s, j);
-        sim::Vec xs;
-        if (c0 >= 0) {
-          // coalescing fast path: the slab's columns are the unit run
-          // c0+i .. c0+i+vl−1, so the gather degenerates to a vload
-          xs = vpu.vload(x.data() + c0 + i);
-          vpu.note_coalesced_lanes(static_cast<std::uint64_t>(vl));
-        } else {
-          const sim::Vec idx = vpu.vload_i32(a.cols(s, j) + i);
-          xs = vpu.vgather(x.data(), idx);
-        }
-        acc = vpu.vfma(vv, xs, acc);
-        vpu.sarith(1);  // slab-loop control
-      }
-      if (base >= 0) {
-        vpu.vstore(y.data() + base + i, acc);
-      } else {
-        const sim::Vec ridx = vpu.vload_i32(a.row_ids(s) + i);
-        vpu.vscatter(y.data(), ridx, acc);
-      }
-      vpu.sarith(2);  // strip bump + loop bound check
-      i += vl;
-    }
-    vpu.sarith(1);  // slice-loop control
-  }
+  vspmv_multi(vpu, a, x, y, 1, strip);
 }
+
+double vdot(sim::Vpu& vpu, std::span<const double> a,
+            std::span<const double> b, int strip) {
+  double s = 0.0;
+  vdot_multi(vpu, a, b, 1, {&s, 1}, strip);
+  return s;
+}
+
+void vaxpy(sim::Vpu& vpu, double alpha, std::span<const double> x,
+           std::span<double> y, int strip) {
+  axpby_into_multi(vpu, y, {&alpha, 1}, x, y, 1, strip);
+}
+
+void vxpby(sim::Vpu& vpu, std::span<const double> x, double beta,
+           std::span<double> y, int strip) {
+  axpby_into_multi(vpu, x, {&beta, 1}, y, y, 1, strip);
+}
+
+void vsub(sim::Vpu& vpu, std::span<const double> a, std::span<const double> b,
+          std::span<double> out, int strip) {
+  vsub_multi(vpu, a, b, out, 1, strip);
+}
+
+void vcopy(sim::Vpu& vpu, std::span<const double> src, std::span<double> dst,
+           int strip) {
+  vcopy_multi(vpu, src, dst, 1, strip);
+}
+
+void vjacobi_apply(sim::Vpu& vpu, std::span<const double> dinv,
+                   std::span<const double> r, std::span<double> z,
+                   int strip) {
+  vjacobi_apply_multi(vpu, dinv, r, z, 1, strip);
+}
+
+void OperatorMirror::apply(sim::Vpu& vpu, std::span<const double> x,
+                           std::span<double> y, int strip) const {
+  apply_multi(vpu, x, y, 1, strip);
+}
+
+// ---- kernels without a blocked caller (k = 1 blocks) -------------------
+
+double vnorm2(sim::Vpu& vpu, std::span<const double> a, int strip) {
+  const double s = vdot(vpu, a, a, strip);
+  if (s > kNormSumSqMin && s < kNormSumSqMax) {
+    return vpu.ssqrt(s);  // common path: the one-pass sum is trustworthy
+  }
+  // Rare rescan (mirrors norm2 in krylov.cpp): instrumented ‖a‖∞ pass
+  // picks the scale, then the scaled sum — so extreme-magnitude vectors
+  // cost a second pass but ordinary solves never pay for it.
+  const ColumnBlock blk(a.size(), 1, {}, "vnorm2");
+  double m = 0.0;
+  auto keep_max = [&m](double v) {
+    if (v > m || std::isnan(v)) m = v;  // NaN-propagating running max
+  };
+  for_columns(vpu, blk, strip, [&](std::size_t, std::size_t, int i) {
+    keep_max(vpu.vredmax(vpu.vabs(vpu.vload(a.data() + i))));
+    vpu.sarith(1);
+  }, [&](std::size_t, std::size_t, int i) {
+    keep_max(std::fabs(vpu.sload(a.data() + i)));
+  });
+  if (m == 0.0) return 0.0;
+  if (std::isinf(m)) return m;  // an inf entry: the norm IS inf, not NaN
+  double ssq = 0.0;
+  for_columns(vpu, blk, strip, [&](std::size_t, std::size_t, int i) {
+    const sim::Vec q = vpu.vdiv(vpu.vload(a.data() + i), vpu.vsplat(m));
+    ssq = vpu.sadd(ssq, vpu.vredsum(vpu.vmul(q, q)));
+  }, [&](std::size_t, std::size_t, int i) {
+    const double q = vpu.sdiv(vpu.sload(a.data() + i), m);
+    ssq = vpu.sfma(q, q, ssq);
+  });
+  return vpu.smul(m, vpu.ssqrt(ssq));
+}
+
+void vscal(sim::Vpu& vpu, double alpha, std::span<double> x, int strip) {
+  for_columns(vpu, ColumnBlock(x.size(), 1, {}, "vscal"), strip,
+              [&](std::size_t, std::size_t, int i) {
+    vpu.vstore(x.data() + i, vpu.vmul_s(vpu.vload(x.data() + i), alpha));
+  }, [&](std::size_t, std::size_t, int i) {
+    vpu.sstore(x.data() + i, vpu.smul(vpu.sload(x.data() + i), alpha));
+  });
+}
+
+void vfill(sim::Vpu& vpu, std::span<double> dst, double value, int strip) {
+  for_columns(vpu, ColumnBlock(dst.size(), 1, {}, "vfill"), strip,
+              [&](std::size_t, std::size_t, int i) {
+    vpu.vstore(dst.data() + i, vpu.vsplat(value));
+  }, [&](std::size_t, std::size_t, int i) {
+    vpu.sstore(dst.data() + i, value);
+  });
+}
+
+void vpack_strided(sim::Vpu& vpu, const double* base, std::ptrdiff_t stride,
+                   std::span<double> out, int strip) {
+  for_columns(vpu, ColumnBlock(out.size(), 1, {}, "vpack_strided"), strip,
+              [&](std::size_t, std::size_t, int i) {
+    const sim::Vec v = vpu.vload_strided(base + stride * i, stride);
+    vpu.vstore(out.data() + i, v);
+  }, [&](std::size_t, std::size_t, int i) {
+    vpu.sstore(out.data() + i, vpu.sload(base + stride * i));
+  });
+}
+
+// ---- csr-host SpMV (scalar on every machine) and the operator mirror ---
 
 // CsrMatrix stores `int` indices; the Vpu's index loads take int32_t.  The
 // two are the same type on every supported ABI — assert it so a port to an
@@ -315,350 +455,33 @@ void OperatorMirror::assign(const CsrMatrix& a, SpmvFormat format,
   }
 }
 
-void OperatorMirror::apply(sim::Vpu& vpu, std::span<const double> x,
-                           std::span<double> y, int strip) const {
-  switch (format_) {
-    case SpmvFormat::kCsrHost: vspmv(vpu, *csr_, x, y); return;
-    case SpmvFormat::kEll:     vspmv(vpu, ell_, x, y, strip); return;
-    case SpmvFormat::kSell:    vspmv(vpu, sell_, x, y, strip); return;
-  }
-}
-
-double vdot(sim::Vpu& vpu, std::span<const double> a,
-            std::span<const double> b, int strip) {
-  check_len(b.size(), a.size(), "vdot");
-  const int n = static_cast<int>(a.size());
-  double s = 0.0;
-  if (vector_path(vpu)) {
-    for_strips(vpu, n, effective_strip(vpu, strip), [&](int i, int) {
-      const sim::Vec va = vpu.vload(a.data() + i);
-      const sim::Vec vb = vpu.vload(b.data() + i);
-      s = vpu.sadd(s, vpu.vredsum(vpu.vmul(va, vb)));
-    });
-  } else {
-    for (int i = 0; i < n; ++i) {
-      const double ai = vpu.sload(a.data() + i);
-      const double bi = vpu.sload(b.data() + i);
-      s = vpu.sfma(ai, bi, s);
-      vpu.sarith(1);
-    }
-  }
-  return s;
-}
-
-double vnorm2(sim::Vpu& vpu, std::span<const double> a, int strip) {
-  const double s = vdot(vpu, a, a, strip);
-  if (s > kNormSumSqMin && s < kNormSumSqMax) {
-    return vpu.ssqrt(s);  // common path: the one-pass sum is trustworthy
-  }
-  // Rare rescan (mirrors norm2 in krylov.cpp): instrumented ‖a‖∞ pass
-  // picks the scale, then the scaled sum — so extreme-magnitude vectors
-  // cost a second pass but ordinary solves never pay for it.
-  const int n = static_cast<int>(a.size());
-  double m = 0.0;
-  if (vector_path(vpu)) {
-    for_strips(vpu, n, effective_strip(vpu, strip), [&](int i, int) {
-      const double sm = vpu.vredmax(vpu.vabs(vpu.vload(a.data() + i)));
-      if (sm > m || std::isnan(sm)) m = sm;  // NaN-propagating running max
-      vpu.sarith(1);
-    });
-  } else {
-    for (int i = 0; i < n; ++i) {
-      const double av = std::fabs(vpu.sload(a.data() + i));
-      if (av > m || std::isnan(av)) m = av;
-      vpu.sarith(1);
-    }
-  }
-  if (m == 0.0) return 0.0;
-  if (std::isinf(m)) return m;  // an inf entry: the norm IS inf, not NaN
-  double ssq = 0.0;
-  if (vector_path(vpu)) {
-    for_strips(vpu, n, effective_strip(vpu, strip), [&](int i, int) {
-      const sim::Vec q = vpu.vdiv(vpu.vload(a.data() + i), vpu.vsplat(m));
-      ssq = vpu.sadd(ssq, vpu.vredsum(vpu.vmul(q, q)));
-    });
-  } else {
-    for (int i = 0; i < n; ++i) {
-      const double q = vpu.sdiv(vpu.sload(a.data() + i), m);
-      ssq = vpu.sfma(q, q, ssq);
-      vpu.sarith(1);
-    }
-  }
-  return vpu.smul(m, vpu.ssqrt(ssq));
-}
-
-void vaxpy(sim::Vpu& vpu, double alpha, std::span<const double> x,
-           std::span<double> y, int strip) {
-  axpby_into(vpu, y, alpha, x, y, strip);
-}
-
-void vxpby(sim::Vpu& vpu, std::span<const double> x, double beta,
-           std::span<double> y, int strip) {
-  axpby_into(vpu, x, beta, y, y, strip);
-}
-
-void vsub(sim::Vpu& vpu, std::span<const double> a, std::span<const double> b,
-          std::span<double> out, int strip) {
-  check_len(a.size(), out.size(), "vsub");
-  check_len(b.size(), out.size(), "vsub");
-  const int n = static_cast<int>(out.size());
-  if (vector_path(vpu)) {
-    for_strips(vpu, n, effective_strip(vpu, strip), [&](int i, int) {
-      const sim::Vec va = vpu.vload(a.data() + i);
-      const sim::Vec vb = vpu.vload(b.data() + i);
-      vpu.vstore(out.data() + i, vpu.vsub(va, vb));
-    });
-  } else {
-    for (int i = 0; i < n; ++i) {
-      const double ai = vpu.sload(a.data() + i);
-      const double bi = vpu.sload(b.data() + i);
-      vpu.sstore(out.data() + i, vpu.ssub(ai, bi));
-      vpu.sarith(1);
-    }
-  }
-}
-
-void vcopy(sim::Vpu& vpu, std::span<const double> src, std::span<double> dst,
-           int strip) {
-  check_len(src.size(), dst.size(), "vcopy");
-  const int n = static_cast<int>(dst.size());
-  if (vector_path(vpu)) {
-    for_strips(vpu, n, effective_strip(vpu, strip), [&](int i, int) {
-      vpu.vstore(dst.data() + i, vpu.vload(src.data() + i));
-    });
-  } else {
-    for (int i = 0; i < n; ++i) {
-      vpu.sstore(dst.data() + i, vpu.sload(src.data() + i));
-      vpu.sarith(1);
-    }
-  }
-}
-
-void vscal(sim::Vpu& vpu, double alpha, std::span<double> x, int strip) {
-  const int n = static_cast<int>(x.size());
-  if (vector_path(vpu)) {
-    for_strips(vpu, n, effective_strip(vpu, strip), [&](int i, int) {
-      vpu.vstore(x.data() + i, vpu.vmul_s(vpu.vload(x.data() + i), alpha));
-    });
-  } else {
-    for (int i = 0; i < n; ++i) {
-      vpu.sstore(x.data() + i, vpu.smul(vpu.sload(x.data() + i), alpha));
-      vpu.sarith(1);
-    }
-  }
-}
-
-void vfill(sim::Vpu& vpu, std::span<double> dst, double value, int strip) {
-  const int n = static_cast<int>(dst.size());
-  if (vector_path(vpu)) {
-    for_strips(vpu, n, effective_strip(vpu, strip), [&](int i, int) {
-      vpu.vstore(dst.data() + i, vpu.vsplat(value));
-    });
-  } else {
-    for (int i = 0; i < n; ++i) {
-      vpu.sstore(dst.data() + i, value);
-      vpu.sarith(1);
-    }
-  }
-}
-
-void vjacobi_apply(sim::Vpu& vpu, std::span<const double> dinv,
-                   std::span<const double> r, std::span<double> z,
-                   int strip) {
-  if (dinv.empty()) {
-    vcopy(vpu, r, z, strip);
-    return;
-  }
-  check_len(dinv.size(), r.size(), "vjacobi_apply");
-  check_len(z.size(), r.size(), "vjacobi_apply");
-  const int n = static_cast<int>(r.size());
-  if (vector_path(vpu)) {
-    for_strips(vpu, n, effective_strip(vpu, strip), [&](int i, int) {
-      const sim::Vec vd = vpu.vload(dinv.data() + i);
-      const sim::Vec vr = vpu.vload(r.data() + i);
-      vpu.vstore(z.data() + i, vpu.vmul(vd, vr));
-    });
-  } else {
-    for (int i = 0; i < n; ++i) {
-      const double di = vpu.sload(dinv.data() + i);
-      const double ri = vpu.sload(r.data() + i);
-      vpu.sstore(z.data() + i, vpu.smul(di, ri));
-      vpu.sarith(1);
-    }
-  }
-}
-
-void vpack_strided(sim::Vpu& vpu, const double* base, std::ptrdiff_t stride,
-                   std::span<double> out, int strip) {
-  const int n = static_cast<int>(out.size());
-  if (vector_path(vpu)) {
-    for_strips(vpu, n, effective_strip(vpu, strip), [&](int i, int) {
-      const sim::Vec v = vpu.vload_strided(base + stride * i, stride);
-      vpu.vstore(out.data() + i, v);
-    });
-  } else {
-    for (int i = 0; i < n; ++i) {
-      vpu.sstore(out.data() + i, vpu.sload(base + stride * i));
-      vpu.sarith(1);
-    }
-  }
-}
-
 // ---- multi-RHS (blocked) kernels --------------------------------------
-// Per-column instruction sequences are kept identical to the single-RHS
-// kernels above (same loads, same FMA order), so per-column results are
-// bit-for-bit equal; the fusion shares the strip loop and — in vspmv_multi
-// — the operator value/index slab loads across all active columns.
-
-namespace {
-
-bool col_active(std::span<const char> active, int d) {
-  return active.empty() || active[static_cast<std::size_t>(d)] != 0;
-}
-
-bool any_active(std::span<const char> active, int k) {
-  for (int d = 0; d < k; ++d) {
-    if (col_active(active, d)) return true;
-  }
-  return false;
-}
-
-/// Common multi-kernel argument validation; returns the column length n.
-std::size_t check_multi(std::size_t block_size, int k,
-                        std::span<const char> active, const char* what) {
-  if (k <= 0) {
-    throw std::invalid_argument(std::string(what) + ": k must be positive");
-  }
-  if (block_size % static_cast<std::size_t>(k) != 0) {
-    throw std::invalid_argument(std::string(what) + ": dimension mismatch");
-  }
-  if (!active.empty() && active.size() != static_cast<std::size_t>(k)) {
-    throw std::invalid_argument(std::string(what) + ": active mask size");
-  }
-  return block_size / static_cast<std::size_t>(k);
-}
-
-}  // namespace
 
 void vspmv_multi(sim::Vpu& vpu, const EllMatrix& a, std::span<const double> x,
                  std::span<double> y, int k, int strip,
                  std::span<const char> active) {
-  const std::size_t n = check_multi(y.size(), k, active, "vspmv_multi");
-  check_len(x.size(), y.size(), "vspmv_multi");
-  check_len(n, static_cast<std::size_t>(a.rows()), "vspmv_multi");
-  if (!any_active(active, k)) return;
-  if (!vector_path(vpu) || k == 1) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      vspmv(vpu, a, x.subspan(off, n), y.subspan(off, n), strip);
-    }
-    return;
-  }
-  // Vec accumulators hold register values; this storage is never
-  // vload/vstore'd, so no canonical line ever maps to it and its free
-  // cannot re-alias a measured buffer.
-  // vecfd-lint: allow(measured-alloc) register-value storage, never mapped
-  std::vector<sim::Vec> acc(static_cast<std::size_t>(k));
-  for_strips(vpu, static_cast<int>(n), effective_strip(vpu, strip),
-             [&](int i, int) {
-    for (int d = 0; d < k; ++d) {
-      if (col_active(active, d)) {
-        acc[static_cast<std::size_t>(d)] = vpu.vsplat(0.0);
-      }
-    }
-    for (int j = 0; j < a.width(); ++j) {
-      // ONE value/index slab load feeds every active gather/fma stream.
-      const sim::Vec vv = vpu.vload(a.vals(j) + i);
-      const sim::Vec idx = vpu.vload_i32(a.cols(j) + i);
-      for (int d = 0; d < k; ++d) {
-        if (!col_active(active, d)) continue;
-        const sim::Vec xs =
-            vpu.vgather(x.data() + static_cast<std::size_t>(d) * n, idx);
-        acc[static_cast<std::size_t>(d)] =
-            vpu.vfma(vv, xs, acc[static_cast<std::size_t>(d)]);
-        vpu.sarith(1);  // stream-loop control
-      }
-    }
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      vpu.vstore(y.data() + static_cast<std::size_t>(d) * n + i,
-                 acc[static_cast<std::size_t>(d)]);
-    }
-  });
+  const ColumnBlock blk(y.size(), k, active, "vspmv");
+  check_len(blk.n, static_cast<std::size_t>(a.rows()), "vspmv");
+  const auto x_len = static_cast<std::size_t>(a.num_cols());
+  check_len(x.size(), static_cast<std::size_t>(k) * x_len, "vspmv");
+  const SlabRun run{a.rows(), a.width(), a.vals(0), a.cols(0)};
+  slab_spmv(vpu, blk, x.data(), x_len, y.data(), strip, 1, a.rows(), false,
+            [&](int) { return run; });
 }
 
 void vspmv_multi(sim::Vpu& vpu, const SellMatrix& a,
                  std::span<const double> x, std::span<double> y, int k,
                  int strip, std::span<const char> active) {
-  const std::size_t n = check_multi(y.size(), k, active, "vspmv_multi(sell)");
-  check_len(x.size(), y.size(), "vspmv_multi(sell)");
-  check_len(n, static_cast<std::size_t>(a.rows()), "vspmv_multi(sell)");
-  if (!any_active(active, k)) return;
-  if (!vector_path(vpu) || k == 1) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      vspmv(vpu, a, x.subspan(off, n), y.subspan(off, n), strip);
-    }
-    return;
-  }
-  const int eff = effective_strip(vpu, strip);
-  // Vec accumulators, as above: register values only, never mapped.
-  // vecfd-lint: allow(measured-alloc) register-value storage, never mapped
-  std::vector<sim::Vec> acc(static_cast<std::size_t>(k));
-  for (int s = 0; s < a.num_slices(); ++s) {
-    const int nr = a.slice_rows(s);
-    const int base = a.slice_row_base(s);
-    for (int i = 0; i < nr;) {
-      // vecfd-lint: allow(strip-mine-contract) slice-local strip loop: SELL
-      const int vl = vpu.set_vl(std::min(eff, nr - i));
-      for (int d = 0; d < k; ++d) {
-        if (col_active(active, d)) {
-          acc[static_cast<std::size_t>(d)] = vpu.vsplat(0.0);
-        }
-      }
-      for (int j = 0; j < a.slice_width(s); ++j) {
-        // ONE value (and, off the fast path, index) slab load feeds every
-        // active stream — the same sharing lever as the ELL overload.
-        const sim::Vec vv = vpu.vload(a.vals(s, j) + i);
-        const int c0 = a.coalesced_col(s, j);
-        sim::Vec idx;
-        if (c0 < 0) idx = vpu.vload_i32(a.cols(s, j) + i);
-        for (int d = 0; d < k; ++d) {
-          if (!col_active(active, d)) continue;
-          const double* xd = x.data() + static_cast<std::size_t>(d) * n;
-          sim::Vec xs;
-          if (c0 >= 0) {
-            xs = vpu.vload(xd + c0 + i);
-            vpu.note_coalesced_lanes(static_cast<std::uint64_t>(vl));
-          } else {
-            xs = vpu.vgather(xd, idx);
-          }
-          acc[static_cast<std::size_t>(d)] =
-              vpu.vfma(vv, xs, acc[static_cast<std::size_t>(d)]);
-          vpu.sarith(1);  // stream-loop control
-        }
-      }
-      if (base >= 0) {
-        for (int d = 0; d < k; ++d) {
-          if (!col_active(active, d)) continue;
-          vpu.vstore(y.data() + static_cast<std::size_t>(d) * n + base + i,
-                     acc[static_cast<std::size_t>(d)]);
-        }
-      } else {
-        const sim::Vec ridx = vpu.vload_i32(a.row_ids(s) + i);
-        for (int d = 0; d < k; ++d) {
-          if (!col_active(active, d)) continue;
-          vpu.vscatter(y.data() + static_cast<std::size_t>(d) * n, ridx,
-                       acc[static_cast<std::size_t>(d)]);
-        }
-      }
-      vpu.sarith(2);  // strip bump + loop bound check
-      i += vl;
-    }
-    vpu.sarith(1);  // slice-loop control
-  }
+  const ColumnBlock blk(y.size(), k, active, "vspmv(sell)");
+  check_len(x.size(), y.size(), "vspmv(sell)");
+  check_len(blk.n, static_cast<std::size_t>(a.rows()), "vspmv(sell)");
+  slab_spmv(vpu, blk, x.data(), blk.n, y.data(), strip, a.num_slices(),
+            a.slice_height(), true, [&](int s) {
+    return SlabRun{a.slice_rows(s),       a.slice_width(s),
+                   a.vals(s, 0),          a.cols(s, 0),
+                   a.coalesced_cols(s),   a.slice_row_base(s),
+                   a.row_ids(s)};
+  });
 }
 
 void OperatorMirror::apply_multi(sim::Vpu& vpu, std::span<const double> x,
@@ -666,14 +489,11 @@ void OperatorMirror::apply_multi(sim::Vpu& vpu, std::span<const double> x,
                                  std::span<const char> active) const {
   switch (format_) {
     case SpmvFormat::kCsrHost: {
-      const std::size_t n =
-          check_multi(y.size(), k, active, "apply_multi(csr)");
+      const ColumnBlock blk(y.size(), k, active, "apply_multi(csr)");
       check_len(x.size(), y.size(), "apply_multi(csr)");
-      for (int d = 0; d < k; ++d) {
-        if (!col_active(active, d)) continue;
-        const std::size_t off = static_cast<std::size_t>(d) * n;
-        vspmv(vpu, *csr_, x.subspan(off, n), y.subspan(off, n));
-      }
+      blk.each([&](std::size_t, std::size_t off) {
+        vspmv(vpu, *csr_, x.subspan(off, blk.n), y.subspan(off, blk.n));
+      });
       return;
     }
     case SpmvFormat::kEll:
@@ -688,113 +508,53 @@ void OperatorMirror::apply_multi(sim::Vpu& vpu, std::span<const double> x,
 void vdot_multi(sim::Vpu& vpu, std::span<const double> a,
                 std::span<const double> b, int k, std::span<double> out,
                 int strip, std::span<const char> active) {
-  const std::size_t n = check_multi(a.size(), k, active, "vdot_multi");
-  check_len(b.size(), a.size(), "vdot_multi");
-  check_len(out.size(), static_cast<std::size_t>(k), "vdot_multi");
-  if (!any_active(active, k)) return;
-  if (!vector_path(vpu) || k == 1) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      out[static_cast<std::size_t>(d)] =
-          vdot(vpu, a.subspan(off, n), b.subspan(off, n), strip);
-    }
-    return;
-  }
-  for (int d = 0; d < k; ++d) {
-    if (col_active(active, d)) out[static_cast<std::size_t>(d)] = 0.0;
-  }
-  for_strips(vpu, static_cast<int>(n), effective_strip(vpu, strip),
-             [&](int i, int) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      const sim::Vec va = vpu.vload(a.data() + off + i);
-      const sim::Vec vb = vpu.vload(b.data() + off + i);
-      out[static_cast<std::size_t>(d)] = vpu.sadd(
-          out[static_cast<std::size_t>(d)], vpu.vredsum(vpu.vmul(va, vb)));
-    }
+  const ColumnBlock blk(a.size(), k, active, "vdot");
+  check_len(b.size(), a.size(), "vdot");
+  check_len(out.size(), static_cast<std::size_t>(k), "vdot");
+  blk.each([&](std::size_t d, std::size_t) { out[d] = 0.0; });
+  for_columns(vpu, blk, strip, [&](std::size_t d, std::size_t off, int i) {
+    const sim::Vec va = vpu.vload(a.data() + off + i);
+    const sim::Vec vb = vpu.vload(b.data() + off + i);
+    out[d] = vpu.sadd(out[d], vpu.vredsum(vpu.vmul(va, vb)));
+  }, [&](std::size_t d, std::size_t off, int i) {
+    const double ai = vpu.sload(a.data() + off + i);
+    const double bi = vpu.sload(b.data() + off + i);
+    out[d] = vpu.sfma(ai, bi, out[d]);
   });
 }
 
 void vaxpy_multi(sim::Vpu& vpu, std::span<const double> alpha,
                  std::span<const double> x, std::span<double> y, int k,
                  int strip, std::span<const char> active) {
-  const std::size_t n = check_multi(y.size(), k, active, "vaxpy_multi");
-  check_len(x.size(), y.size(), "vaxpy_multi");
-  check_len(alpha.size(), static_cast<std::size_t>(k), "vaxpy_multi");
-  if (!any_active(active, k)) return;
-  if (!vector_path(vpu) || k == 1) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      vaxpy(vpu, alpha[static_cast<std::size_t>(d)], x.subspan(off, n),
-            y.subspan(off, n), strip);
-    }
-    return;
-  }
-  for_strips(vpu, static_cast<int>(n), effective_strip(vpu, strip),
-             [&](int i, int) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      const sim::Vec vy = vpu.vload(y.data() + off + i);
-      const sim::Vec vx = vpu.vload(x.data() + off + i);
-      vpu.vstore(y.data() + off + i,
-                 vpu.vfma_s(vx, alpha[static_cast<std::size_t>(d)], vy));
-    }
-  });
+  axpby_into_multi(vpu, y, alpha, x, y, k, strip, active);
 }
 
 void vsub_multi(sim::Vpu& vpu, std::span<const double> a,
                 std::span<const double> b, std::span<double> out, int k,
                 int strip, std::span<const char> active) {
-  const std::size_t n = check_multi(out.size(), k, active, "vsub_multi");
-  check_len(a.size(), out.size(), "vsub_multi");
-  check_len(b.size(), out.size(), "vsub_multi");
-  if (!any_active(active, k)) return;
-  if (!vector_path(vpu) || k == 1) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      vsub(vpu, a.subspan(off, n), b.subspan(off, n), out.subspan(off, n),
-           strip);
-    }
-    return;
-  }
-  for_strips(vpu, static_cast<int>(n), effective_strip(vpu, strip),
-             [&](int i, int) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      const sim::Vec va = vpu.vload(a.data() + off + i);
-      const sim::Vec vb = vpu.vload(b.data() + off + i);
-      vpu.vstore(out.data() + off + i, vpu.vsub(va, vb));
-    }
+  const ColumnBlock blk(out.size(), k, active, "vsub");
+  check_len(a.size(), out.size(), "vsub");
+  check_len(b.size(), out.size(), "vsub");
+  for_columns(vpu, blk, strip, [&](std::size_t, std::size_t off, int i) {
+    const sim::Vec va = vpu.vload(a.data() + off + i);
+    const sim::Vec vb = vpu.vload(b.data() + off + i);
+    vpu.vstore(out.data() + off + i, vpu.vsub(va, vb));
+  }, [&](std::size_t, std::size_t off, int i) {
+    const double ai = vpu.sload(a.data() + off + i);
+    const double bi = vpu.sload(b.data() + off + i);
+    vpu.sstore(out.data() + off + i, vpu.ssub(ai, bi));
   });
 }
 
 void vcopy_multi(sim::Vpu& vpu, std::span<const double> src,
                  std::span<double> dst, int k, int strip,
                  std::span<const char> active) {
-  const std::size_t n = check_multi(dst.size(), k, active, "vcopy_multi");
-  check_len(src.size(), dst.size(), "vcopy_multi");
-  if (!any_active(active, k)) return;
-  if (!vector_path(vpu) || k == 1) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      vcopy(vpu, src.subspan(off, n), dst.subspan(off, n), strip);
-    }
-    return;
-  }
-  for_strips(vpu, static_cast<int>(n), effective_strip(vpu, strip),
-             [&](int i, int) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      vpu.vstore(dst.data() + off + i, vpu.vload(src.data() + off + i));
-    }
+  const ColumnBlock blk(dst.size(), k, active, "vcopy");
+  check_len(src.size(), dst.size(), "vcopy");
+  for_columns(vpu, blk, strip, [&](std::size_t, std::size_t off, int i) {
+    vpu.vstore(dst.data() + off + i, vpu.vload(src.data() + off + i));
+  }, [&](std::size_t, std::size_t off, int i) {
+    vpu.sstore(dst.data() + off + i, vpu.sload(src.data() + off + i));
   });
 }
 
@@ -805,112 +565,19 @@ void vjacobi_apply_multi(sim::Vpu& vpu, std::span<const double> dinv,
     vcopy_multi(vpu, r, z, k, strip, active);
     return;
   }
-  const std::size_t n = check_multi(z.size(), k, active,
-                                    "vjacobi_apply_multi");
-  check_len(r.size(), z.size(), "vjacobi_apply_multi");
-  check_len(dinv.size(), n, "vjacobi_apply_multi");
-  if (!any_active(active, k)) return;
-  if (!vector_path(vpu) || k == 1) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      vjacobi_apply(vpu, dinv, r.subspan(off, n), z.subspan(off, n), strip);
-    }
-    return;
-  }
-  for_strips(vpu, static_cast<int>(n), effective_strip(vpu, strip),
-             [&](int i, int) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      const sim::Vec vd = vpu.vload(dinv.data() + i);
-      const sim::Vec vr = vpu.vload(r.data() + off + i);
-      vpu.vstore(z.data() + off + i, vpu.vmul(vd, vr));
-    }
+  const ColumnBlock blk(z.size(), k, active, "vjacobi_apply");
+  check_len(r.size(), z.size(), "vjacobi_apply");
+  check_len(dinv.size(), blk.n, "vjacobi_apply");
+  for_columns(vpu, blk, strip, [&](std::size_t, std::size_t off, int i) {
+    const sim::Vec vd = vpu.vload(dinv.data() + i);
+    const sim::Vec vr = vpu.vload(r.data() + off + i);
+    vpu.vstore(z.data() + off + i, vpu.vmul(vd, vr));
+  }, [&](std::size_t, std::size_t off, int i) {
+    const double di = vpu.sload(dinv.data() + i);
+    const double ri = vpu.sload(r.data() + off + i);
+    vpu.sstore(z.data() + off + i, vpu.smul(di, ri));
   });
 }
-
-namespace {
-
-/// out_d = base_d + scale[d]·scaled_d for every active column — the blocked
-/// axpby_into (the s / r updates of the multi solver).
-void axpby_into_multi(sim::Vpu& vpu, std::span<const double> base,
-                      std::span<const double> scale,
-                      std::span<const double> scaled, std::span<double> out,
-                      int k, int strip, std::span<const char> active) {
-  const std::size_t n = check_multi(out.size(), k, active,
-                                    "axpby_into_multi");
-  if (!any_active(active, k)) return;
-  if (!vector_path(vpu) || k == 1) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      axpby_into(vpu, base.subspan(off, n), scale[static_cast<std::size_t>(d)],
-                 scaled.subspan(off, n), out.subspan(off, n), strip);
-    }
-    return;
-  }
-  for_strips(vpu, static_cast<int>(n), effective_strip(vpu, strip),
-             [&](int i, int) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      const sim::Vec vb = vpu.vload(base.data() + off + i);
-      const sim::Vec vs = vpu.vload(scaled.data() + off + i);
-      vpu.vstore(out.data() + off + i,
-                 vpu.vfma_s(vs, scale[static_cast<std::size_t>(d)], vb));
-    }
-  });
-}
-
-/// Blocked BiCGStab direction update: restart columns take p_d = r_d, the
-/// rest p_d = r_d + beta[d]·(p_d − omega[d]·v_d) — per-column identical to
-/// vcopy / bicgstab_p_update.
-void bicgstab_p_update_multi(sim::Vpu& vpu, std::span<const double> r,
-                             std::span<const double> beta,
-                             std::span<const double> omega,
-                             std::span<const double> v, std::span<double> p,
-                             int k, std::span<const char> restart, int strip,
-                             std::span<const char> active) {
-  const std::size_t n = check_multi(p.size(), k, active,
-                                    "bicgstab_p_update_multi");
-  if (!any_active(active, k)) return;
-  if (!vector_path(vpu) || k == 1) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      if (restart[static_cast<std::size_t>(d)]) {
-        vcopy(vpu, r.subspan(off, n), p.subspan(off, n), strip);
-      } else {
-        bicgstab_p_update(vpu, r.subspan(off, n),
-                          beta[static_cast<std::size_t>(d)],
-                          omega[static_cast<std::size_t>(d)],
-                          v.subspan(off, n), p.subspan(off, n), strip);
-      }
-    }
-    return;
-  }
-  for_strips(vpu, static_cast<int>(n), effective_strip(vpu, strip),
-             [&](int i, int) {
-    for (int d = 0; d < k; ++d) {
-      if (!col_active(active, d)) continue;
-      const std::size_t off = static_cast<std::size_t>(d) * n;
-      if (restart[static_cast<std::size_t>(d)]) {
-        vpu.vstore(p.data() + off + i, vpu.vload(r.data() + off + i));
-        continue;
-      }
-      const sim::Vec vp = vpu.vload(p.data() + off + i);
-      const sim::Vec vv = vpu.vload(v.data() + off + i);
-      const sim::Vec vr = vpu.vload(r.data() + off + i);
-      const sim::Vec tmp =
-          vpu.vfma_s(vv, -omega[static_cast<std::size_t>(d)], vp);
-      vpu.vstore(p.data() + off + i,
-                 vpu.vfma_s(tmp, beta[static_cast<std::size_t>(d)], vr));
-    }
-  });
-}
-
-}  // namespace
 
 namespace {
 
@@ -1001,8 +668,8 @@ SolveReport vbicgstab(sim::Vpu& vpu, const CsrMatrix& a,
                       std::span<const double> b, std::span<double> x,
                       const SolveOptions& opts, int strip,
                       KrylovWorkspace* ws, SpmvFormat format) {
-  // Every blocked kernel dispatches to its single-column kernel at k = 1,
-  // so this is instruction for instruction the single-RHS solve.
+  // At k = 1 the blocked kernels issue the single-column stream, so this
+  // is instruction for instruction the single-RHS solve.
   return vbicgstab_multi(vpu, a, b, x, 1, opts, strip, ws, format)[0];
 }
 
@@ -1044,6 +711,9 @@ std::vector<SolveReport> vbicgstab_multi(sim::Vpu& vpu, const CsrMatrix& a,
   std::vector<double> beta(uk, 0.0), negscale(uk, 0.0);
   int remaining = 0;
 
+  // The workspace outlives the tape scope: closing a tape mid-iteration
+  // re-runs its replayed prefix, which touches the workspace's lines.
+  KrylovWorkspace local;
   const sim::TapeScope tape(vpu);
   for (int d = 0; d < k; ++d) {
     bnorm[static_cast<std::size_t>(d)] = vnorm2(vpu, bcol(d), strip);
@@ -1058,7 +728,6 @@ std::vector<SolveReport> vbicgstab_multi(sim::Vpu& vpu, const CsrMatrix& a,
   }
   if (remaining == 0) return checked(reps);
 
-  KrylovWorkspace local;
   if (ws == nullptr) ws = &local;
   ws->op.assign(a, format, mirror_slice_height(strip, vpu.config()));
   const OperatorMirror& op = ws->op;

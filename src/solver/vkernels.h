@@ -21,10 +21,13 @@
 //     also runs; vbicgstab is the k = 1 case of vbicgstab_multi.
 //
 // Every kernel takes a `strip` parameter — the requested software strip
-// length, Alya's VECTOR_SIZE applied to the solve; <= 0 means vlmax.  On a
-// scalar-only machine configuration (vector_enabled == false) each kernel
-// falls back to an instrumented scalar loop computing identical values, so
-// the scalar/vector comparison the paper draws for assembly extends to the
+// length, Alya's VECTOR_SIZE applied to the solve; <= 0 means vlmax.  Each
+// kernel is written once, as a blocked kernel over k node-major columns
+// (ColumnBlock) with one vector body and one scalar body; a single-RHS
+// kernel is the k = 1 call.  for_block picks the body: on a scalar-only
+// machine configuration (vector_enabled == false) the kernel runs an
+// instrumented scalar loop computing identical values, so the
+// scalar/vector comparison the paper draws for assembly extends to the
 // solve.
 //
 // Operator setup (the ELL mirror, the Jacobi diagonal) is host-side and
@@ -33,7 +36,9 @@
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -63,7 +68,78 @@ void for_strips(sim::Vpu& vpu, int n, int strip, Fn&& fn) {
   }
 }
 
-/// Column-major padded ELL mirror of a CsrMatrix.
+/// The strip length the solve kernels actually run at for a requested
+/// VECTOR_SIZE on @p machine: on a vector machine a request of <= 0 or
+/// > vlmax is granted vlmax (the vsetvl clamp); a scalar-only machine runs
+/// instrumented scalar loops, so the request passes through untouched.
+/// Single source of truth for the `effective_strip` CSV column — sweep rows
+/// for e.g. VECTOR_SIZE 512 on a vlmax = 256 machine are otherwise
+/// mislabeled, since every kernel silently ran at 256.
+int solve_effective_strip(int requested, const sim::MachineConfig& machine);
+
+/// k same-length columns stored node-major: column d occupies
+/// [d·n, (d+1)·n), so every column is a unit-stride stream.  Only the
+/// `active` columns (an empty mask: all) are read or written.  A single
+/// vector is the k = 1 block.
+struct ColumnBlock {
+  /// A block of @p cells values in @p columns columns.  @throws
+  /// std::invalid_argument naming @p what unless columns > 0, columns
+  /// divides @p cells and @p mask is empty or has one entry per column.
+  ColumnBlock(std::size_t cells, int columns, std::span<const char> mask,
+              const char* what);
+
+  std::size_t n = 0;  ///< column length
+  int k = 1;
+  std::span<const char> active;
+
+  int rows() const { return static_cast<int>(n); }
+  bool on(std::size_t d) const { return active.empty() || active[d] != 0; }
+  /// fn(d, off) for every active column d, off = d·n its first cell.
+  template <class Fn>
+  void each(Fn&& fn) const {
+    for (std::size_t d = 0; d < static_cast<std::size_t>(k); ++d) {
+      if (on(d)) fn(d, d * n);
+    }
+  }
+};
+
+/// The driver every instrumented kernel runs on.  No active column: no
+/// instruction.  Vector machine: vector_pass(eff) runs once, eff the
+/// effective strip.  Scalar machine: each active column runs
+/// scalar_lane(d, off, i) for i in [0, n), each followed by one sarith of
+/// loop control.
+template <class VectorPass, class ScalarLane>
+void for_block(sim::Vpu& vpu, const ColumnBlock& blk, int strip,
+               VectorPass&& vector_pass, ScalarLane&& scalar_lane) {
+  bool any = false;
+  blk.each([&](std::size_t, std::size_t) { any = true; });
+  if (!any) return;
+  if (vpu.config().vector_enabled) {
+    vector_pass(solve_effective_strip(strip, vpu.config()));
+    return;
+  }
+  blk.each([&](std::size_t d, std::size_t off) {
+    for (int i = 0; i < blk.rows(); ++i) {
+      scalar_lane(d, off, i);
+      vpu.sarith(1);
+    }
+  });
+}
+
+/// for_block for kernels without a cross-column share: each strip runs
+/// vector_lane(d, off, i) — rows [i, i + vl) of column d — for every
+/// active column in turn.
+template <class VectorLane, class ScalarLane>
+void for_columns(sim::Vpu& vpu, const ColumnBlock& blk, int strip,
+                 VectorLane&& vector_lane, ScalarLane&& scalar_lane) {
+  for_block(vpu, blk, strip, [&](int eff) {
+    for_strips(vpu, blk.rows(), eff, [&](int i, int) {
+      blk.each([&](std::size_t d, std::size_t off) { vector_lane(d, off, i); });
+    });
+  }, scalar_lane);
+}
+
+/// Column-major padded ELL mirror of a CsrMatrix, or of a row range of it.
 ///
 /// Rows shorter than `width` are padded with (column −1, 0.0) entries: the
 /// negative column is the Vpu's masked-lane convention (vgather reads +0.0
@@ -81,8 +157,17 @@ class EllMatrix {
   /// determinism requirement of mem/memory_hierarchy.h).
   void assign(const CsrMatrix& a);
 
+  /// Mirror rows [first, first + rows) of @p a with every column c
+  /// renumbered to col_of(c) in [0, cols) — a shard's owned rows over its
+  /// local (owned + ghost) numbering.  The full-matrix assign is the
+  /// identity case.  @throws std::invalid_argument when col_of maps an
+  /// entry outside [0, cols).
+  void assign(const CsrMatrix& a, int first, int rows, int cols,
+              const std::function<int(int)>& col_of);
+
   int rows() const { return rows_; }
-  int width() const { return width_; }  ///< max nonzeros per row
+  int num_cols() const { return cols_n_; }  ///< length of x in y = A·x
+  int width() const { return width_; }      ///< max nonzeros per row
 
   /// Slab j (j in [0, width)): entry j of every row, row-contiguous.
   const double* vals(int j) const {
@@ -93,25 +178,22 @@ class EllMatrix {
   }
 
  private:
+  template <class ColOf>
+  void build(const CsrMatrix& a, int first, int rows, int cols,
+             ColOf&& col_of);
+
   int rows_ = 0;
+  int cols_n_ = 0;
   int width_ = 0;
   std::vector<double> vals_;        // [width][rows]
   std::vector<std::int32_t> cols_;  // [width][rows]
 };
 
-/// The strip length the solve kernels actually run at for a requested
-/// VECTOR_SIZE on @p machine: on a vector machine a request of <= 0 or
-/// > vlmax is granted vlmax (the vsetvl clamp); a scalar-only machine runs
-/// instrumented scalar loops, so the request passes through untouched.
-/// Single source of truth for the `effective_strip` CSV column — sweep rows
-/// for e.g. VECTOR_SIZE 512 on a vlmax = 256 machine are otherwise
-/// mislabeled, since every kernel silently ran at 256.
-int solve_effective_strip(int requested, const sim::MachineConfig& machine);
-
 // ---- instrumented kernels ---------------------------------------------
 // All lengths must match; dimension mismatches throw std::invalid_argument.
 
-/// y = A·x through the Vpu (unit-stride slab loads + vgather + vfma).
+/// y = A·x through the Vpu (unit-stride slab loads + vgather + vfma);
+/// x has a.num_cols() entries, y a.rows().
 void vspmv(sim::Vpu& vpu, const EllMatrix& a, std::span<const double> x,
            std::span<double> y, int strip = 0);
 
@@ -149,7 +231,7 @@ class OperatorMirror {
   const EllMatrix& ell() const { return ell_; }
   const SellMatrix& sell() const { return sell_; }
 
-  /// y = A·x in the mirrored format (dispatches to the vspmv overloads).
+  /// y = A·x in the mirrored format: apply_multi at k = 1.
   void apply(sim::Vpu& vpu, std::span<const double> x, std::span<double> y,
              int strip = 0) const;
 
@@ -212,25 +294,25 @@ void vpack_strided(sim::Vpu& vpu, const double* base, std::ptrdiff_t stride,
                    std::span<double> out, int strip = 0);
 
 // ---- multi-RHS (blocked) kernels --------------------------------------
-// A "block" is k same-length columns stored node-major: column d occupies
-// [d·n, (d+1)·n) of the span, so every column is a unit-stride stream and
-// each column's instruction sequence is identical to the single-RHS kernel
-// above (per-column results are bit-for-bit equal).  The lever is the
-// shared operator: vspmv_multi walks each ELL (value, index) slab with ONE
+// These are the kernels; each single-RHS kernel above is its k = 1 call.
+// A block is a ColumnBlock: k node-major columns, so each column's values
+// are bit-for-bit those of its own k = 1 call.  The lever is the shared
+// operator: vspmv_multi walks each ELL (value, index) slab with ONE
 // unit-stride vload pair per strip and feeds all k gather/fma streams from
 // it — k× fewer operator slab loads than k single SpMVs (DESIGN.md §5).
 // The BLAS-1 _multi kernels fuse the k columns into a single strip-mined
 // pass (one vsetvl / loop-control sequence per strip for all columns),
-// returning per-column results.
+// returning per-column results.  At k = 1 the fused stream is the
+// single-column stream instruction for instruction.
 //
 // All take an optional `active` mask of size k (empty = all active):
 // inactive columns are neither read nor written — the solvers mask out
 // converged/broken-down columns so their iterates stay frozen exactly as a
-// standalone solve would leave them.  On a scalar-only machine every multi
-// kernel degrades to the single-RHS scalar fallback per active column.
+// standalone solve would leave them.  On a scalar-only machine each active
+// column runs the scalar body in turn.
 
 /// Y_d = A·X_d for every active column (shared slab loads, k gather/fma
-/// streams).
+/// streams); X's columns have a.num_cols() entries, Y's a.rows().
 void vspmv_multi(sim::Vpu& vpu, const EllMatrix& a, std::span<const double> x,
                  std::span<double> y, int k, int strip = 0,
                  std::span<const char> active = {});
@@ -262,8 +344,8 @@ void vcopy_multi(sim::Vpu& vpu, std::span<const double> src,
                  std::span<const char> active = {});
 
 /// Z_d = dinv ⊙ R_d — the ONE shared Jacobi diagonal applied per column.
-/// The diagonal is re-loaded per column (cache-hot), keeping each column's
-/// instruction stream identical to vjacobi_apply; an empty dinv copies.
+/// The diagonal is re-loaded per column (cache-hot), so each column's
+/// stream is its k = 1 stream; an empty dinv copies.
 void vjacobi_apply_multi(sim::Vpu& vpu, std::span<const double> dinv,
                          std::span<const double> r, std::span<double> z,
                          int k, int strip = 0,

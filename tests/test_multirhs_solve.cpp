@@ -7,6 +7,7 @@
 // fields under blocked_momentum = true / false on every scenario.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <random>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "platforms/platforms.h"
 #include "scenario_support.h"
 #include "solver/krylov.h"
+#include "solver/sell.h"
 #include "solver/vkernels.h"
 
 namespace {
@@ -115,30 +117,50 @@ TEST(MultiRhsKernels, Blas1MatchesSinglePerColumn) {
   const int k = 3;
   const std::vector<double> A = random_block(n, k, 1);
   const std::vector<double> B = random_block(n, k, 2);
+  const std::vector<double> dinv = random_block(n, 1, 3);
   const std::vector<double> alpha{0.75, -0.5, 1.25};
 
-  sim::Vpu vpu(platforms::riscv_vec());
-  std::vector<double> dots(k, 0.0);
-  solver::vdot_multi(vpu, A, B, k, dots, 32);
-  std::vector<double> Y = B;
-  solver::vaxpy_multi(vpu, alpha, A, Y, k, 32);
-  std::vector<double> D(A.size());
-  solver::vsub_multi(vpu, A, B, D, k, 32);
-  std::vector<double> C(A.size(), 0.0);
-  solver::vcopy_multi(vpu, A, C, k, 32);
+  for (const auto& m :
+       {platforms::riscv_vec(), platforms::riscv_vec_scalar()}) {
+    SCOPED_TRACE(m.name);
+    sim::Vpu vpu(m);
+    std::vector<double> dots(k, 0.0);
+    solver::vdot_multi(vpu, A, B, k, dots, 32);
+    std::vector<double> Y = B;
+    solver::vaxpy_multi(vpu, alpha, A, Y, k, 32);
+    std::vector<double> D(A.size());
+    solver::vsub_multi(vpu, A, B, D, k, 32);
+    std::vector<double> C(A.size(), 0.0);
+    solver::vcopy_multi(vpu, A, C, k, 32);
+    std::vector<double> J(A.size(), 0.0);
+    solver::vjacobi_apply_multi(vpu, dinv, A, J, k, 32);
+    std::vector<double> Jc(A.size(), 0.0);
+    solver::vjacobi_apply_multi(vpu, {}, A, Jc, k, 32);  // no diagonal: copy
 
-  sim::Vpu ref(platforms::riscv_vec());
-  for (int d = 0; d < k; ++d) {
-    const std::vector<double> ad = column(A, n, d);
-    const std::vector<double> bd = column(B, n, d);
-    EXPECT_EQ(dots[static_cast<std::size_t>(d)], solver::vdot(ref, ad, bd, 32))
-        << d;
-    std::vector<double> yd = bd;
-    solver::vaxpy(ref, alpha[static_cast<std::size_t>(d)], ad, yd, 32);
-    for (int i = 0; i < n; ++i) {
-      EXPECT_EQ(Y[static_cast<std::size_t>(d) * n + i], yd[i]) << d;
-      EXPECT_EQ(D[static_cast<std::size_t>(d) * n + i], ad[i] - bd[i]) << d;
-      EXPECT_EQ(C[static_cast<std::size_t>(d) * n + i], ad[i]) << d;
+    // one set of column buffers for the whole measurement: a buffer
+    // freed and re-allocated under `ref` would re-alias measured lines
+    const auto un = static_cast<std::size_t>(n);
+    std::vector<double> ad(un), bd(un), yd(un), jd(un);
+    sim::Vpu ref(m);
+    for (int d = 0; d < k; ++d) {
+      const auto off = static_cast<std::ptrdiff_t>(d) * n;
+      std::copy_n(A.begin() + off, n, ad.begin());
+      std::copy_n(B.begin() + off, n, bd.begin());
+      EXPECT_EQ(dots[static_cast<std::size_t>(d)],
+                solver::vdot(ref, ad, bd, 32))
+          << d;
+      yd = bd;
+      solver::vaxpy(ref, alpha[static_cast<std::size_t>(d)], ad, yd, 32);
+      solver::vjacobi_apply(ref, dinv, ad, jd, 32);
+      for (int i = 0; i < n; ++i) {
+        const std::size_t at = static_cast<std::size_t>(d) * n + i;
+        EXPECT_EQ(Y[at], yd[i]) << d;
+        EXPECT_EQ(D[at], ad[i] - bd[i]) << d;
+        EXPECT_EQ(C[at], ad[i]) << d;
+        EXPECT_EQ(J[at], jd[i]) << d;
+        EXPECT_EQ(J[at], dinv[i] * ad[i]) << d;
+        EXPECT_EQ(Jc[at], ad[i]) << d;
+      }
     }
   }
 }
@@ -183,6 +205,33 @@ TEST(MultiRhsKernels, DimensionMismatchesThrow) {
   std::vector<double> xblk(30, 0.0);
   EXPECT_THROW(solver::vbicgstab_multi(vpu, a, bad, xblk, 3),
                std::invalid_argument);
+  const std::vector<double> alpha2{1.0, 2.0};  // k = 3 wants three
+  EXPECT_THROW(solver::vaxpy_multi(vpu, alpha2, good, good, 3),
+               std::invalid_argument);
+  std::vector<double> dinv9(9, 1.0);  // column length is 10
+  EXPECT_THROW(solver::vjacobi_apply_multi(vpu, dinv9, good, good, 3),
+               std::invalid_argument);
+  EXPECT_THROW(solver::vsub_multi(vpu, good, bad, good, 3),
+               std::invalid_argument);
+
+  // the single-RHS kernels are the k = 1 calls and check the same way
+  std::vector<double> v10(10, 0.0), v9(9, 0.0);
+  EXPECT_THROW(solver::vsub(vpu, v10, v9, v10), std::invalid_argument);
+  EXPECT_THROW(solver::vjacobi_apply(vpu, v9, v10, v10),
+               std::invalid_argument);
+  EXPECT_THROW(solver::vjacobi_apply(vpu, v10, v10, v9),
+               std::invalid_argument);
+  const solver::SellMatrix sell(a, 4);
+  EXPECT_THROW(solver::vspmv(vpu, sell, v9, v10), std::invalid_argument);
+  EXPECT_THROW(solver::vspmv(vpu, sell, v10, v9), std::invalid_argument);
+  // a rectangular row-range mirror: rows [2, 6) over 10 columns, so x
+  // must have 10 entries and y 4
+  EllMatrix part;
+  part.assign(a, 2, 4, 10, [](int c) { return c; });
+  std::vector<double> y4(4, 0.0);
+  EXPECT_NO_THROW(solver::vspmv(vpu, part, v10, y4));
+  EXPECT_THROW(solver::vspmv(vpu, part, y4, y4), std::invalid_argument);
+  EXPECT_THROW(solver::vspmv(vpu, part, v10, v10), std::invalid_argument);
 }
 
 TEST(MultiRhsSolvers, VpuMultiMatchesVpuSinglePerColumnOnAllPlatforms) {
